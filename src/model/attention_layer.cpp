@@ -76,11 +76,6 @@ void MultiHeadAttention::share_packs_with(const MultiHeadAttention& proto) {
   wo_.share_pack_with(proto.wo_);
 }
 
-bool MultiHeadAttention::packs_equal(const MultiHeadAttention& other) const {
-  return wq_.pack_equals(other.wq_) && wk_.pack_equals(other.wk_) &&
-         wv_.pack_equals(other.wv_) && wo_.pack_equals(other.wo_);
-}
-
 void MultiHeadAttention::attend_one_head_into(const attn::HeadInput& head,
                                               MatrixF& z) const {
   switch (backend_) {
@@ -114,8 +109,8 @@ void MultiHeadAttention::attend_one_head_into(const attn::HeadInput& head,
 MatrixF MultiHeadAttention::forward(const MatrixF& x) const {
   SWAT_EXPECTS(x.cols() == d_model_);
   if (x.rows() == 0) {
-    // Nothing to attend. forward_batch requires non-empty sequences, so
-    // preserve the historical single-sequence behaviour here.
+    // Nothing to attend. forward_batch_into requires non-empty sequences,
+    // so preserve the historical single-sequence behaviour here.
     stats_ = AttentionStats{};
     if (backend_ != AttentionBackend::kSwatSimulator) {
       stats_.heads_run = num_heads_;
@@ -123,7 +118,10 @@ MatrixF MultiHeadAttention::forward(const MatrixF& x) const {
     return MatrixF(0, d_model_);
   }
   const std::int64_t offsets[2] = {0, x.rows()};
-  return forward_batch(x, offsets, {});
+  MhaWorkspace ws;
+  MatrixF out;
+  forward_batch_into(x, offsets, {}, ws, out);
+  return out;
 }
 
 namespace {
@@ -144,15 +142,6 @@ MatrixF& tls_head_output() {
 }
 
 }  // namespace
-
-MatrixF MultiHeadAttention::forward_batch(
-    const MatrixF& x, std::span<const std::int64_t> offsets,
-    std::span<AttentionStats> stats) const {
-  MhaWorkspace ws;
-  MatrixF out;
-  forward_batch_into(x, offsets, stats, ws, out);
-  return out;
-}
 
 void MultiHeadAttention::forward_batch_into(
     const MatrixF& x, std::span<const std::int64_t> offsets,

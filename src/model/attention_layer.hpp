@@ -119,23 +119,19 @@ class MultiHeadAttention {
   /// precondition violation (std::invalid_argument), asserted here rather
   /// than silently mis-attributing counters. last_stats() gets the batch
   /// total. Like forward(), not safe to call concurrently on one instance.
-  MatrixF forward_batch(const MatrixF& x,
-                        std::span<const std::int64_t> offsets,
-                        std::span<AttentionStats> stats) const;
-
-  /// Plan-driven forward_batch: identical contract and bit-identical
-  /// output/counters, but all batch-level staging lives in `ws` and the
-  /// result lands in `out` (reshaped in place; must alias neither x nor a
-  /// workspace buffer). With a host backend and a pure-window config the
-  /// call is allocation-free once ws, out, and the per-thread staging have
-  /// seen the batch's high-water shape.
+  ///
+  /// All batch-level staging lives in `ws` and the result lands in `out`
+  /// (reshaped in place; must alias neither x nor a workspace buffer).
+  /// With a host backend and a pure-window config the call is
+  /// allocation-free once ws, out, and the per-thread staging have seen
+  /// the batch's high-water shape.
   void forward_batch_into(const MatrixF& x,
                           std::span<const std::int64_t> offsets,
                           std::span<AttentionStats> stats, MhaWorkspace& ws,
                           MatrixF& out) const;
 
-  /// Statistics from the most recent forward()/forward_batch() (SWAT
-  /// backend only; summed over the batch for forward_batch).
+  /// Statistics from the most recent forward()/forward_batch_into() (SWAT
+  /// backend only; summed over the batch for forward_batch_into).
   const AttentionStats& last_stats() const { return stats_; }
 
   /// Pack all four projection weights panel-major (idempotent) and return
@@ -147,10 +143,6 @@ class MultiHeadAttention {
   /// engine replicas). Projections must have identical shapes; see
   /// Linear::share_pack_with for the copy-on-write mutation contract.
   void share_packs_with(const MultiHeadAttention& proto);
-
-  /// True when all four projections' packed panels are bit-identical to
-  /// `other`'s (Linear::pack_equals).
-  bool packs_equal(const MultiHeadAttention& other) const;
 
   AttentionBackend backend() const { return backend_; }
   Dtype stream_dtype() const { return stream_dtype_; }

@@ -114,15 +114,9 @@ EncoderLayer::EncoderLayer(const EncoderConfig& cfg, Rng& rng)
 MatrixF EncoderLayer::forward(const MatrixF& x) const {
   if (x.rows() == 0) return x;  // empty in, empty out (see MHA::forward)
   const std::int64_t offsets[2] = {0, x.rows()};
-  return forward_batch(x, offsets, {});
-}
-
-MatrixF EncoderLayer::forward_batch(const MatrixF& x,
-                                    std::span<const std::int64_t> offsets,
-                                    std::span<AttentionStats> stats) const {
   EncoderLayerScratch scratch;
   MatrixF out;
-  forward_batch_into(x, offsets, stats, scratch, out);
+  forward_batch_into(x, offsets, {}, scratch, out);
   return out;
 }
 
@@ -165,11 +159,6 @@ void EncoderLayer::share_packs_with(const EncoderLayer& proto) {
   mha_.share_packs_with(proto.mha_);
   ffn1_.share_pack_with(proto.ffn1_);
   ffn2_.share_pack_with(proto.ffn2_);
-}
-
-bool EncoderLayer::packs_equal(const EncoderLayer& other) const {
-  return mha_.packs_equal(other.mha_) && ffn1_.pack_equals(other.ffn1_) &&
-         ffn2_.pack_equals(other.ffn2_);
 }
 
 Encoder::Encoder(EncoderConfig cfg) : cfg_(std::move(cfg)) {
@@ -238,14 +227,6 @@ void Encoder::share_packs_with(const Encoder& proto) {
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     layers_[l]->share_packs_with(*proto.layers_[l]);
   }
-}
-
-bool Encoder::packs_equal(const Encoder& other) const {
-  if (layers_.size() != other.layers_.size()) return false;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    if (!layers_[l]->packs_equal(*other.layers_[l])) return false;
-  }
-  return true;
 }
 
 Bytes Encoder::last_swat_traffic() const {

@@ -83,16 +83,11 @@ class EncoderLayer {
   MatrixF forward(const MatrixF& x) const;
 
   /// Batched forward over a packed ragged batch (see
-  /// MultiHeadAttention::forward_batch for the offsets convention and the
-  /// bit-identity guarantee). Per-sequence attention counters are added
-  /// into `stats` when non-empty.
-  MatrixF forward_batch(const MatrixF& x,
-                        std::span<const std::int64_t> offsets,
-                        std::span<AttentionStats> stats) const;
-
-  /// Plan-driven forward_batch: bit-identical output and counters, but all
-  /// intermediates live in `scratch` and the result lands in `out`
-  /// (reshaped in place). `out` must not alias `x` or a scratch buffer.
+  /// MultiHeadAttention::forward_batch_into for the offsets convention and
+  /// the bit-identity guarantee). Per-sequence attention counters are
+  /// added into `stats` when non-empty. All intermediates live in
+  /// `scratch` and the result lands in `out` (reshaped in place). `out`
+  /// must not alias `x` or a scratch buffer.
   void forward_batch_into(const MatrixF& x,
                           std::span<const std::int64_t> offsets,
                           std::span<AttentionStats> stats,
@@ -108,10 +103,6 @@ class EncoderLayer {
   /// Adopt `proto`'s packed panels for every Linear in the layer. See
   /// Encoder::share_packs_with.
   void share_packs_with(const EncoderLayer& proto);
-
-  /// True when every Linear's packed panels in the layer are bit-identical
-  /// to `other`'s. See Encoder::packs_equal.
-  bool packs_equal(const EncoderLayer& other) const;
 
  private:
   MultiHeadAttention mha_;
@@ -177,13 +168,6 @@ class Encoder {
   /// layer into a private pack (copy-on-write) — shared panels are never
   /// written through.
   void share_packs_with(const Encoder& proto);
-
-  /// True when every packed panel in the stack is bit-identical to
-  /// `other`'s, layer for layer (packing lazily as needed). The identity
-  /// the per-node replicated packs are asserted against: two encoders
-  /// built from the same config and weight_seed must compare equal no
-  /// matter which thread, pool, or striping schedule packed them.
-  bool packs_equal(const Encoder& other) const;
 
   const EncoderLayer& layer(int i) const {
     SWAT_EXPECTS(i >= 0 && i < static_cast<int>(layers_.size()));

@@ -1,111 +1,64 @@
-// swat::Server — the asynchronous continuous-batching serving front-end,
-// with SLO classes, deadline-aware shedding, a stall watchdog, and a
-// sharded engine-replica pool behind one admission queue.
-//
-// Real serving traffic does not arrive as one request list: requests show
-// up one at a time, concurrently, and each caller wants its own answer as
-// soon as possible. Server is the admission side of that workload:
+// swat::Server — the asynchronous continuous-batching serving front-end:
+// SLO classes, deadline-aware shedding, a stall watchdog, and a pool of
+// engine replicas behind one admission queue.
 //
 //   submit(request) ──▶ class-aware AdmissionQueue ──▶ scheduler thread
-//     │ interactive lane drained first,                  │ deadline shed
-//     │ bulk aged in (never starved),                    │ BatchFormer
-//     │ kShedBulk sheds bulk at the                      │   (class-pure
-//     │ watermark under overload                         │    batches; caps
-//     │                                                  │    + latency
-//     │                                                  │    budget cuts)
+//     │ interactive first, bulk aged in;                 │ deadline shed,
+//     │ kShedBulk sheds bulk at the watermark            │ BatchFormer cuts
 //     ▼                                                  ▼
-//   Ticket (std::future)                      cost-model dispatch: place
-//     ▲                                       each cut batch on the
-//     │ promise fulfilled                     least-loaded live replica
-//     │                                                  │
-//     │   ┌─ replica 0: BatchExecutor+Engine ◀───────────┤
-//     └───┤  replica 1: BatchExecutor+Engine ◀───────────┤
-//         └─ replica N: BatchExecutor+Engine ◀── steal ──┘
-//              ▲ per-replica watchdog slots
+//   Ticket (std::future) ◀── promise ──── replica 0..N-1 (BatchExecutor +
+//                                         Engine): least backlog first,
+//                                         idle replicas steal
 //
-// submit() is thread-safe and returns a per-request Ticket (a
-// std::future<RequestResult>) immediately; a background scheduler thread
-// pops admitted requests — interactive first, bulk aged in every
-// bulk_aging_interval pops so it is never starved — and feeds them to an
-// incremental BatchFormer. A batch is cut when max_batch_requests /
-// max_batch_tokens is hit or when the batch's predicted service time
-// (BatchCostModel over the paper's stage-latency pipeline model) reaches
-// the max_batch_latency budget. When the arrival queue goes momentarily
-// empty, pending partial batches are cut immediately (work conservation).
+// Batching: the scheduler pops admitted requests — interactive first, one
+// bulk request after every bulk_aging_interval interactive pops — into an
+// incremental BatchFormer. A batch is cut at max_batch_requests /
+// max_batch_tokens, when its predicted service time (BatchCostModel)
+// reaches max_batch_latency, or when the arrival queue goes empty.
 //
-// Replica pool (num_replicas > 1): each cut batch is placed on the live
-// replica with the smallest cost-model backlog (BatchCostModel::predict
-// seconds queued + executing; ties go to the lowest index). Each replica
-// owns a BatchExecutor + Engine — its own packed-weight copy, or, with
-// share_weight_pack, a read-only pack shared from replica 0 — and a
-// worker thread that claims from its local queue, or STEALS the newest
-// queued batch from the most-backlogged live replica when its own queue
-// runs dry. Dispatch claim-ahead is bounded by replica_queue_depth: at
-// the default 0 the scheduler only claims from the admission queue when a
-// replica is fully idle, which preserves the single-engine claim order
-// (interactive-first pops, watermark backpressure) exactly; small depths
-// pipeline batch formation with execution and give stealing something to
-// steal. Because every formed batch's outputs are a pure function of the
-// batch (see the determinism contract below) and replicas are built from
-// the same config/seed, WHICH replica executes a batch — or whether it
-// was stolen — can never change any result bit.
+// Replica pool: each cut batch goes to the live replica with the smallest
+// predicted backlog (ties to the lowest index). Each replica owns a
+// BatchExecutor + Engine and packs its own weights, or, with
+// share_weight_pack, streams replica 0's read-only pack. A worker drains
+// its own queue and steals the newest queued batch from the most
+// backlogged replica when it runs dry. replica_queue_depth bounds
+// claim-ahead; at the default 0 the scheduler claims only when a replica
+// is idle, which keeps the single-engine claim order exactly.
 //
-// Overload and failure semantics (docs/ARCHITECTURE.md "Overload &
-// failure semantics"):
-//   * Backpressure / shedding: the admission queue is bounded
-//     (queue_capacity). At the bound, OverflowPolicy::kBlock parks the
-//     submitter, kReject fails the ticket, and kShedBulk — the overload
-//     policy — rejects BULK once occupancy reaches shed_watermark while
-//     interactive keeps admitting up to full capacity; nothing blocks.
-//     Admission is pool-wide: one front-end queue, however many replicas.
-//   * Deadlines: a request may carry a deadline (or inherit
-//     default_deadline). A ticket whose deadline the cost model predicts
-//     unmeetable is failed with DeadlineExceeded BEFORE compute is spent:
-//     at submit when the predicted service time alone exceeds it, and at
-//     claim when waiting has consumed the slack. A request served past
-//     its deadline still returns its result and is counted
-//     deadline_missed.
-//   * Watchdog: when watchdog_multiplier > 0, a watchdog thread scans
-//     every replica's executing-batch slot and flags a replica stalled
-//     once its batch overruns watchdog_grace + watchdog_multiplier *
-//     predicted — surfaced per replica through health().replicas[i] and
-//     stats().replicas[i], and rolled up in the top-level counters. Two
-//     simultaneously wedged replicas are two stall episodes.
-//   * Failure isolation, batch level: an executor failure fails exactly
-//     that batch's tickets and the replica keeps serving.
-//   * Failure isolation, replica level: a replica death (the
-//     "replica.execute" fault crossing, or any escape from the claim
-//     path) rejects only the batch that replica had claimed, QUARANTINES
-//     the replica (ReplicaStats::quarantined, per-replica health
-//     kFailed), redistributes its queued batches to survivors, and the
-//     pool keeps serving — top-level health degrades to kStalled, not
-//     kFailed. Only when the LAST replica dies (or the scheduler itself
-//     dies, e.g. the "dispatch.place" crossing) does the server close
-//     admission, cleanly reject every in-flight and queued ticket
-//     (drain() returns, nothing hangs), and report kFailed.
+// Overload and failure (docs/ARCHITECTURE.md "Overload & failure
+// semantics"):
+//   * Admission is bounded by queue_capacity: kBlock parks the submitter,
+//     kReject fails the ticket, kShedBulk rejects bulk at shed_watermark
+//     and interactive only at full capacity.
+//   * Malformed input (wrong shape, a NaN or an infinity) fails its own
+//     ticket at submit and never joins a batch.
+//   * Deadlines: a ticket the cost model predicts cannot meet its deadline
+//     fails with DeadlineExceeded before compute — at submit, or at claim
+//     once waiting has eaten the slack. A request served late still
+//     returns its result and is counted deadline_missed.
+//   * Watchdog (watchdog_multiplier > 0): a replica whose batch overruns
+//     watchdog_grace + watchdog_multiplier * predicted is flagged stalled
+//     in health() and stats().
+//   * An executor failure fails that batch's tickets only. A replica death
+//     rejects the batch it had claimed, quarantines the replica and hands
+//     its queue to the survivors. Only when the last replica (or the
+//     scheduler) dies does the server close admission, reject every
+//     pending ticket and report kFailed.
 //
-// Determinism contract: WHICH batch a request lands in — and which
-// replica runs it — depends on arrival timing (that is the point of
-// continuous batching); WHAT the request's output and counters are does
-// not. Every replica's BatchExecutor guarantees every member of every
-// formed batch is bit-identical to a solo Encoder::forward run, for any
-// SWAT_THREADS, arrival order, SLO class mix, replica count, and batch
-// cut (tests/test_server.cpp, tests/test_replica_pool.cpp) — scheduling
-// policy decides which requests are served and when, never what a served
-// request's output is. Timing-dependent fields (batch_index, queue_delay,
-// turnaround) are explicitly excluded from that guarantee.
+// Determinism: which batch and replica serve a request depends on timing;
+// its output and counters do not. Every served request is bit-identical
+// to a solo Encoder::forward run for any SWAT_THREADS, arrival order,
+// class mix, replica count and batch cut (tests/test_server.cpp,
+// tests/test_replica_pool.cpp). batch_index, queue_delay and turnaround
+// are timing fields outside that guarantee.
 //
-// Shutdown: shutdown() (and the destructor) closes admission, lets the
-// scheduler finish everything already admitted, lets every replica drain
-// its queue, and joins all threads — every ticket is always completed or
-// rejected, never leaked or hung.
+// Shutdown: shutdown() (and the destructor) closes admission, serves
+// everything already admitted and joins all threads; every ticket
+// resolves, none hangs.
 //
-// submit_many partial-reject semantics: a burst is admitted strictly in
-// order, one ticket per request, and each ticket resolves exactly once.
-// Under kReject / kShedBulk admission the queue can fill (or cross the
-// shed watermark) partway through the burst, so EARLIER tickets may serve
-// while LATER ones reject — there is no all-or-nothing transaction, by
-// design: shedding exists to keep absorbing what still fits.
+// submit_many admits a burst in order, one ticket per request, with no
+// all-or-nothing transaction: under kReject / kShedBulk earlier tickets
+// may serve while later ones are shed.
 #pragma once
 
 #include <atomic>
@@ -122,7 +75,6 @@
 #include <vector>
 
 #include "common/concurrent_queue.hpp"
-#include "common/dtype.hpp"
 #include "common/topology.hpp"
 #include "runtime/cost_model.hpp"
 #include "runtime/executor.hpp"
@@ -143,31 +95,6 @@ enum class PlacementPolicy {
   /// CPUs than replicas. Results are bit-identical to kShared — the pool
   /// partition never changes any reduction order.
   kPartitioned,
-};
-
-/// Where the SHARED weight pack's pages land under partitioned placement
-/// (ServerOptions::shared_pack_placement; requires share_weight_pack and
-/// placement = kPartitioned for the non-default policies). Every policy
-/// produces bit-identical packed panels — only page placement (hence
-/// memory bandwidth locality) differs.
-enum class SharedPackPlacement {
-  /// The pack is first-touched wherever replica 0's pinned pool packs it
-  /// — all of it on replica 0's NUMA node, read cross-node by far
-  /// replicas. The default; bit- and behavior-identical to history.
-  kFirstTouch,
-  /// First-touch the shared pack's panels round-robin across the
-  /// partition's NUMA nodes (a node-striped serial fill, see
-  /// ScopedPackStriping in tensor/kernels.hpp): every replica reads a
-  /// mix of local and remote pages, spreading the pack's stream over all
-  /// nodes' memory controllers instead of saturating one. Downgrades to
-  /// kFirstTouch with a one-time warning on single-node hosts.
-  kInterleaved,
-  /// Build one read-only pack per NUMA node from the same fp32 master
-  /// weights (panels asserted bit-identical) and route every replica to
-  /// its node-local copy: N_nodes x the pack bytes for fully local
-  /// streams — the footprint/locality point between one shared pack and
-  /// N private ones. ReplicaStats::pack_node reports each replica's copy.
-  kReplicatedPerNode,
 };
 
 struct ServerOptions {
@@ -233,34 +160,6 @@ struct ServerOptions {
   /// is read cross-node by the others — the memory-vs-locality tradeoff
   /// (docs/ARCHITECTURE.md "Placement & affinity").
   PlacementPolicy placement = PlacementPolicy::kShared;
-  /// Storage dtype of the packed panel-major weights. Unset (nullopt)
-  /// inherits EncoderConfig::pack_dtype; set, it overrides the config for
-  /// every replica (and the cost model) before any engine packs, so the
-  /// server-level knob and the model-level knob can never disagree within
-  /// one pool. Dtype::kFp16 halves resident pack bytes (and the shared
-  /// pack under share_weight_pack serves N replicas from one half-size
-  /// copy); outputs stay deterministic but are no longer bit-equal to the
-  /// fp32 pack — gated by the precision-fidelity budget instead
-  /// (eval/calibration.hpp).
-  std::optional<Dtype> pack_dtype;
-  /// Streamed K/V tile dtype of the fused attention kernel. Unset
-  /// (nullopt) inherits EncoderConfig::stream_dtype; set, it overrides
-  /// the config for every replica (and the cost model's activation-stream
-  /// pricing) exactly like pack_dtype. Dtype::kFp16 halves the attention
-  /// activation bytes each batch streams; outputs stay deterministic
-  /// (bit-identical across threads, arrival orders, and replicas) but are
-  /// no longer bit-equal to the fp32 stream — gated by the
-  /// stream-fidelity budget instead (eval/stream_fidelity.hpp). Requires
-  /// the kFusedStreaming backend (EncoderConfig::validate rejects the
-  /// rest).
-  std::optional<Dtype> stream_dtype;
-  /// NUMA page placement of the shared weight pack (see
-  /// SharedPackPlacement). The non-default policies require
-  /// share_weight_pack (there is no shared pack to place otherwise) and
-  /// placement = kPartitioned (the pool must own pinned core groups to
-  /// attribute nodes); validate() rejects the combinations that don't.
-  SharedPackPlacement shared_pack_placement = SharedPackPlacement::kFirstTouch;
-
   /// Rejects inconsistent options with actionable messages
   /// (std::invalid_argument).
   void validate() const;
@@ -284,9 +183,10 @@ class Server {
 
   /// Admit one request under its SLO class. Thread-safe. The ticket always
   /// resolves: with the result once its batch ran, or with an exception if
-  /// the request was malformed, shed at admission, predicted (or observed)
-  /// to miss its deadline, failed by its batch's executor or replica, or
-  /// submitted after shutdown.
+  /// the request was malformed (wrong shape, or a NaN or infinity in the
+  /// input), shed at admission, predicted (or observed) to miss its
+  /// deadline, failed by its batch's executor or replica, or submitted
+  /// after shutdown.
   Ticket submit(InferenceRequest request);
 
   /// Admit a burst. Equivalent to submit() in order; with kReject or
@@ -341,7 +241,7 @@ class Server {
   /// pack is counted once (sharing replicas report 0).
   std::size_t packed_weight_floats() const;
   /// Resident packed-weight bytes across replicas (floats x
-  /// dtype_bytes(pack_dtype)): the footprint ServerOptions::pack_dtype =
+  /// dtype_bytes(pack_dtype)): the footprint EncoderConfig::pack_dtype =
   /// Dtype::kFp16 halves, and share_weight_pack divides by N.
   std::size_t packed_weight_bytes() const;
   const model::Encoder& encoder() const;

@@ -71,7 +71,8 @@ struct ClassStats {
   std::int64_t admitted = 0;   ///< entered the admission queue
   std::int64_t served = 0;     ///< resolved with a result
   /// Rejected at admission: queue full (kReject), over the bulk shed
-  /// watermark (kShedBulk), malformed input, or server shut down.
+  /// watermark (kShedBulk), malformed (wrong-shape or non-finite) input,
+  /// or server shut down.
   std::int64_t shed = 0;
   /// Failed with DeadlineExceeded before compute was spent: the cost
   /// model predicted the deadline unmeetable at submit (prediction alone
@@ -113,14 +114,6 @@ struct ReplicaStats {
   /// workers plus the replica's own worker thread. 0 under shared
   /// placement and on hosts without affinity support.
   int pinned_threads = 0;
-  /// NUMA node whose memory holds the packed weights this replica
-  /// streams: its own group's node for a private (or per-node replicated)
-  /// pack under partitioned placement, the prototype's node for a shared
-  /// first-touch pack (so a far-node replica visibly reports a remote
-  /// pack), and -1 when the pack is not node-attributed — shared
-  /// placement, or kInterleaved (pages round-robin across nodes by
-  /// design).
-  int pack_node = -1;
   /// True once the replica died (its worker thread exited on an injected
   /// or real failure); a quarantined replica takes no further batches.
   bool quarantined = false;

@@ -165,12 +165,14 @@ TEST(Mha, StatsSpanMustMatchSequenceCountOrBeEmpty) {
   const std::vector<std::int64_t> offsets = {0, 10, 24};  // two sequences
 
   std::vector<AttentionStats> too_few(1), too_many(3), just_right(2);
-  EXPECT_THROW(mha.forward_batch(x, offsets, too_few),
+  MhaWorkspace ws;
+  MatrixF out;
+  EXPECT_THROW(mha.forward_batch_into(x, offsets, too_few, ws, out),
                std::invalid_argument);
-  EXPECT_THROW(mha.forward_batch(x, offsets, too_many),
+  EXPECT_THROW(mha.forward_batch_into(x, offsets, too_many, ws, out),
                std::invalid_argument);
-  EXPECT_NO_THROW(mha.forward_batch(x, offsets, just_right));
-  EXPECT_NO_THROW(mha.forward_batch(x, offsets, {}));
+  EXPECT_NO_THROW(mha.forward_batch_into(x, offsets, just_right, ws, out));
+  EXPECT_NO_THROW(mha.forward_batch_into(x, offsets, {}, ws, out));
   EXPECT_EQ(just_right[0].heads_run, 4);
   EXPECT_EQ(just_right[1].heads_run, 4);
 }

@@ -559,7 +559,9 @@ class PlacementTest : public ::testing::Test {
 
 /// The acceptance bar: kPartitioned output is bit-identical to the solo
 /// sequential oracle across num_replicas {1,2,4} x SWAT_THREADS {1,4} x
-/// arrival orders — pinning and per-replica pools move work, never bits.
+/// arrival orders x private/shared weight packs — pinning and per-replica
+/// pools move work, never bits. A shared pack (first-touched by replica
+/// 0's pinned pool, streamed by the rest) is resident exactly once.
 TEST_F(PlacementTest, PartitionedBitIdentityAcrossReplicasOrdersAndThreads) {
   const EncoderConfig cfg = small_config();
   const std::vector<std::int64_t> lengths = {5, 63, 64, 65, 1, 40, 128, 64,
@@ -581,34 +583,50 @@ TEST_F(PlacementTest, PartitionedBitIdentityAcrossReplicasOrdersAndThreads) {
   std::shuffle(base.begin(), base.end(), shuffle_rng);
   orders.push_back(base);
 
+  const std::size_t single_pack_bytes =
+      Engine::compile(cfg, 8).packed_weight_bytes();
+  ASSERT_GT(single_pack_bytes, 0u);
+
   for (const int threads : {1, 4}) {
     ThreadCountGuard guard(threads);
     for (const std::size_t replicas : {1u, 2u, 4u}) {
-      for (const std::vector<std::size_t>& order : orders) {
-        ServerOptions opt;
-        opt.num_replicas = replicas;
-        opt.placement = PlacementPolicy::kPartitioned;
-        opt.replica_queue_depth = replicas > 1 ? 1 : 0;
-        Server server(cfg, opt);
-        std::vector<Server::Ticket> tickets(reqs.size());
-        for (const std::size_t i : order) {
-          tickets[i] = server.submit(reqs[i]);
+      for (const bool share : {false, true}) {
+        if (share && replicas == 1) continue;  // nothing to share with
+        for (const std::vector<std::size_t>& order : orders) {
+          SCOPED_TRACE("threads " + std::to_string(threads) + ", replicas " +
+                       std::to_string(replicas) +
+                       (share ? ", shared pack" : ", private packs"));
+          ServerOptions opt;
+          opt.num_replicas = replicas;
+          opt.placement = PlacementPolicy::kPartitioned;
+          opt.share_weight_pack = share;
+          opt.replica_queue_depth = replicas > 1 ? 1 : 0;
+          Server server(cfg, opt);
+          EXPECT_EQ(server.packed_weight_bytes(),
+                    (share ? 1 : replicas) * single_pack_bytes);
+          std::vector<Server::Ticket> tickets(reqs.size());
+          for (const std::size_t i : order) {
+            tickets[i] = server.submit(reqs[i]);
+          }
+          for (std::size_t i = 0; i < reqs.size(); ++i) {
+            const RequestResult got = tickets[i].get();
+            EXPECT_EQ(got.id, reqs[i].id);
+            testing::expect_matrix_equal(got.output, oracle[i].output,
+                                         "partitioned pool vs solo oracle");
+            EXPECT_EQ(got.counters.tokens, oracle[i].counters.tokens);
+            EXPECT_EQ(got.counters.heads_run, oracle[i].counters.heads_run);
+            EXPECT_EQ(got.counters.model_flops,
+                      oracle[i].counters.model_flops);
+          }
+          server.drain();
+          const ServerStats stats = server.stats();
+          ASSERT_EQ(stats.replicas.size(), replicas);
+          std::int64_t served = 0;
+          for (const ReplicaStats& rep : stats.replicas) {
+            served += rep.served();
+          }
+          EXPECT_EQ(served, static_cast<std::int64_t>(reqs.size()));
         }
-        for (std::size_t i = 0; i < reqs.size(); ++i) {
-          const RequestResult got = tickets[i].get();
-          EXPECT_EQ(got.id, reqs[i].id);
-          testing::expect_matrix_equal(got.output, oracle[i].output,
-                                       "partitioned pool vs solo oracle");
-          EXPECT_EQ(got.counters.tokens, oracle[i].counters.tokens);
-          EXPECT_EQ(got.counters.heads_run, oracle[i].counters.heads_run);
-          EXPECT_EQ(got.counters.model_flops, oracle[i].counters.model_flops);
-        }
-        server.drain();
-        const ServerStats stats = server.stats();
-        ASSERT_EQ(stats.replicas.size(), replicas);
-        std::int64_t served = 0;
-        for (const ReplicaStats& rep : stats.replicas) served += rep.served();
-        EXPECT_EQ(served, static_cast<std::int64_t>(reqs.size()));
       }
     }
   }

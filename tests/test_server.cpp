@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -307,6 +308,51 @@ TEST(Server, MalformedInputRejectsTicketOnly) {
   const std::vector<InferenceRequest> again = make_requests(cfg, {20});
   testing::expect_matrix_equal(got.output, oracle.forward(again[0].input));
   EXPECT_EQ(server.totals().requests, 1);
+}
+
+/// One non-finite request fails only its own ticket. On the fused serving
+/// backend a NaN would otherwise break the softmax denominator of the
+/// batch it joined and fail every member; submit() rejects it up front
+/// (counted shed) and its burst-mates are served exactly. Large but finite
+/// inputs are still admitted.
+TEST(Server, NonFiniteInputRejectsTicketOnly) {
+  const EncoderConfig cfg = small_config(AttentionBackend::kFusedStreaming);
+  Server server(cfg);
+  std::vector<InferenceRequest> reqs = make_requests(cfg, {20, 31, 17, 25});
+  reqs[2].input(5, 3) = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<InferenceRequest> inputs = reqs;
+
+  std::vector<Server::Ticket> tickets = server.submit_many(std::move(reqs));
+  const model::Encoder oracle(cfg);
+  for (const std::size_t i : {0u, 1u, 3u}) {
+    const RequestResult got = tickets[i].get();
+    testing::expect_matrix_equal(got.output, oracle.forward(inputs[i].input),
+                                 "burst-mate of a NaN request vs oracle");
+  }
+  EXPECT_THROW(tickets[2].get(), std::invalid_argument);
+  server.drain();
+
+  ClassStats ledger = server.stats().of(Priority::kInteractive);
+  EXPECT_EQ(ledger.submitted, 4);
+  EXPECT_EQ(ledger.admitted, 3);
+  EXPECT_EQ(ledger.served, 3);
+  EXPECT_EQ(ledger.shed, 1);
+  EXPECT_EQ(ledger.submitted,
+            ledger.served + ledger.shed + ledger.deadline_shed + ledger.failed);
+
+  // Scaled x8 (large, finite) the request is admitted, whatever the
+  // kernel then makes of it.
+  InferenceRequest big = make_requests(cfg, {20})[0];
+  for (float& v : big.input.flat()) v *= 8.0f;
+  Server::Ticket big_ticket = server.submit(std::move(big));
+  try {
+    (void)big_ticket.get();
+  } catch (const std::exception&) {
+  }
+  server.drain();
+  ledger = server.stats().of(Priority::kInteractive);
+  EXPECT_EQ(ledger.admitted, 4);
+  EXPECT_EQ(ledger.shed, 1);
 }
 
 /// drain() blocks until every admitted request resolved; totals reconcile
