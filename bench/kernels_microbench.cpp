@@ -14,6 +14,14 @@
 //   * fused-attention                  (the per-head slice/band/scatter
 //                                       serving path vs the fused streaming
 //                                       batch kernel)
+//   * *_isa_<tier>                     (the fp32 packed GEMM and fused
+//                                       attention pinned to each ISA tier
+//                                       the host supports vs the baseline
+//                                       tier, same shapes, same run)
+//
+// The JSON's top-level "isa" names the tier the serving kernels dispatch
+// to on this host (swat::kernel_isa()), and "build_isa" the tier the
+// build's own flags reach: tiers at or below it run the baseline copy.
 //
 // Usage: kernels_microbench [--smoke] [--out <path>]
 //   --smoke   small shapes / fewer reps (CI)
@@ -30,6 +38,8 @@
 #include <iostream>
 #include <limits>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "attention/fused.hpp"
@@ -61,6 +71,26 @@ double best_time(int reps, Fn&& fn) {
     const double t0 = now_seconds();
     fn();
     best = std::min(best, now_seconds() - t0);
+  }
+  return best;
+}
+
+/// best_time for two functions with their repetitions interleaved (a, b,
+/// a, b, ...), so drift in the host's speed during the measurement hits
+/// both sides of a within-run ratio alike.
+template <typename FnA, typename FnB>
+std::pair<double, double> best_time_pair(int reps, FnA&& a, FnB&& b) {
+  a();
+  b();
+  std::pair<double, double> best{std::numeric_limits<double>::infinity(),
+                                 std::numeric_limits<double>::infinity()};
+  for (int r = 0; r < reps; ++r) {
+    double t0 = now_seconds();
+    a();
+    best.first = std::min(best.first, now_seconds() - t0);
+    t0 = now_seconds();
+    b();
+    best.second = std::min(best.second, now_seconds() - t0);
   }
   return best;
 }
@@ -144,6 +174,8 @@ struct BenchRow {
   /// so fp16/fp32 kv_gbps_1t is exactly the wall-time ratio the acceptance
   /// gate reads.
   double kv_eff_bytes = 0;
+  /// ISA tier the arm is pinned to (per-tier arms only; emitted when set).
+  std::string isa;
 
   double gflops(double s) const { return flops / s / 1e9; }
   double weight_gbps(double s) const {
@@ -159,12 +191,16 @@ bool emit_json(const std::vector<BenchRow>& rows, const std::string& path,
     std::cerr << "error: cannot open " << path << " for writing\n";
     return false;
   }
-  out << "{\n  \"threads\": " << threads << ",\n  \"kernels\": [\n";
+  out << "{\n  \"threads\": " << threads << ",\n  \"isa\": \""
+      << swat::kernel_isa() << "\",\n  \"build_isa\": \""
+      << swat::detail::kernel_isa_name(swat::detail::kBuildKernelIsa)
+      << "\",\n  \"kernels\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BenchRow& r = rows[i];
     out << "    {\"name\": \"" << r.name << "\", "
-        << "\"baseline\": \"" << r.baseline << "\", "
-        << "\"gflops_baseline\": " << r.gflops(r.naive_s) << ", "
+        << "\"baseline\": \"" << r.baseline << "\", ";
+    if (!r.isa.empty()) out << "\"isa\": \"" << r.isa << "\", ";
+    out << "\"gflops_baseline\": " << r.gflops(r.naive_s) << ", "
         << "\"gflops_kernel_1t\": " << r.gflops(r.blocked_1t_s) << ", "
         << "\"gflops_kernel_mt\": " << r.gflops(r.blocked_mt_s) << ", "
         << "\"speedup_1t\": " << r.naive_s / r.blocked_1t_s << ", "
@@ -178,6 +214,37 @@ bool emit_json(const std::vector<BenchRow>& rows, const std::string& path,
   }
   out << "  ]\n}\n";
   return static_cast<bool>(out);
+}
+
+/// One arm per ISA tier the host supports, cloned from `proto` (flops and
+/// stream bytes) and named `<kernel>_isa_<tier>_<shape>`. `run(isa, out)`
+/// runs the kernel pinned to a tier. naive_s is the baseline tier at one
+/// thread, timed interleaved with the tier's own one-thread runs, so
+/// speedup_1t is the tier's within-run ratio over the baseline tier; and
+/// max_abs_diff is the tier's output against the baseline tier's: every
+/// tier must produce the same bits.
+template <typename Run>
+void add_isa_rows(std::vector<BenchRow>& rows, const BenchRow& proto,
+                  const std::string& kernel, const std::string& shape,
+                  int reps, int pool_threads, MatrixF& out_base,
+                  MatrixF& out_tier, Run&& run) {
+  using swat::detail::KernelIsa;
+  for (int i = 0; i < swat::detail::kKernelIsaCount; ++i) {
+    const auto isa = static_cast<KernelIsa>(i);
+    if (!swat::detail::kernel_isa_supported(isa)) continue;
+    BenchRow t = proto;
+    t.isa = swat::detail::kernel_isa_name(isa);
+    t.name = kernel + "_isa_" + t.isa + "_" + shape;
+    t.baseline = kernel + "_isa_baseline";
+    swat::set_num_threads(1);
+    std::tie(t.naive_s, t.blocked_1t_s) = best_time_pair(
+        reps, [&] { run(KernelIsa::kBaseline, out_base); },
+        [&] { run(isa, out_tier); });
+    swat::set_num_threads(pool_threads);
+    t.blocked_mt_s = best_time(reps, [&] { run(isa, out_tier); });
+    t.max_abs_diff = swat::max_abs_diff(out_tier, out_base);
+    rows.push_back(t);
+  }
 }
 
 }  // namespace
@@ -289,9 +356,11 @@ int main(int argc, char** argv) {
       std::vector<float> bias(static_cast<std::size_t>(sh.n));
       for (float& b : bias) b = static_cast<float>(rng.uniform(-1.0, 1.0));
       BenchRow r;
-      r.name = std::string("gemm_packed_") + sh.tag + "_" +
-               std::to_string(sh.m) + "x" + std::to_string(sh.k) + "x" +
-               std::to_string(sh.n);
+      const std::string shape = std::string(sh.tag) + "_" +
+                                std::to_string(sh.m) + "x" +
+                                std::to_string(sh.k) + "x" +
+                                std::to_string(sh.n);
+      r.name = "gemm_packed_" + shape;
       r.baseline = "blocked_bias_gemm";
       r.flops = 2.0 * sh.m * sh.k * sh.n;
       const swat::MatrixF wt = swat::transpose(w);  // the old cached W^T
@@ -325,9 +394,7 @@ int main(int argc, char** argv) {
       swat::pack_weight_nt(w, packed_f16, swat::Dtype::kFp16);
       swat::MatrixF c_f16(sh.m, sh.n);
       BenchRow h;
-      h.name = std::string("gemm_packed_f16_") + sh.tag + "_" +
-               std::to_string(sh.m) + "x" + std::to_string(sh.k) + "x" +
-               std::to_string(sh.n);
+      h.name = "gemm_packed_f16_" + shape;
       h.baseline = "gemm_packed_f32";
       h.flops = r.flops;
       h.weight_bytes = static_cast<double>(packed_f16.bytes());
@@ -346,6 +413,15 @@ int main(int argc, char** argv) {
       // the fidelity-budgeted rounding, not an implementation bug.
       h.max_abs_diff = swat::max_abs_diff(c_f16, c_packed);
       rows.push_back(h);
+
+      swat::MatrixF c_tier(sh.m, sh.n);
+      add_isa_rows(rows, r, "gemm_packed", shape, reps,
+                   pool_threads, c_packed, c_tier,
+                   [&](swat::detail::KernelIsa isa, swat::MatrixF& c) {
+                     swat::detail::gemm_packed_isa(
+                         isa, a, packed, bias,
+                         swat::detail::PackedEpilogue::kNone, {}, c);
+                   });
     }
   }
 
@@ -368,8 +444,10 @@ int main(int argc, char** argv) {
     const std::int64_t offsets[2] = {0, fa_n};
 
     BenchRow r;
-    r.name = "fused_attention_n" + std::to_string(fa_n) + "_w" +
-             std::to_string(before) + "_h" + std::to_string(fa_h);
+    const std::string shape = "n" + std::to_string(fa_n) + "_w" +
+                              std::to_string(before) + "_h" +
+                              std::to_string(fa_h);
+    r.name = "fused_attention_" + shape;
     r.baseline = "band_slice_scatter";
     // QK + SV multiply-accumulates over the clipped band, all heads.
     double band_rows = 0;
@@ -432,8 +510,7 @@ int main(int argc, char** argv) {
     // widening and libmvec's vectorized exp pass.
     swat::MatrixF concat_f16(fa_n, fa_d);
     BenchRow h;
-    h.name = "fused_attention_f16stream_n" + std::to_string(fa_n) + "_w" +
-             std::to_string(before) + "_h" + std::to_string(fa_h);
+    h.name = "fused_attention_f16stream_" + shape;
     h.baseline = "fused_attention_f32stream";
     h.flops = r.flops;
     h.kv_bytes = static_cast<double>(swat::attn::fused_window_kv_stream_bytes(
@@ -453,10 +530,21 @@ int main(int argc, char** argv) {
     // stream is the fidelity-budgeted rounding, not an implementation bug.
     h.max_abs_diff = swat::max_abs_diff(concat_f16, concat_fused);
     rows.push_back(h);
+
+    swat::MatrixF concat_tier(fa_n, fa_d);
+    add_isa_rows(rows, r, "fused_attention", shape, reps,
+                 pool_threads, concat_fused, concat_tier,
+                 [&](swat::detail::KernelIsa isa, swat::MatrixF& out) {
+                   swat::attn::detail::fused_window_attention_batch_isa(
+                       isa, q, k, v, offsets, fa_heads, before, after, scale,
+                       out);
+                 });
   }
 
   const bool json_ok = emit_json(rows, out_path, pool_threads);
 
+  std::cout << "serving kernels dispatch to ISA tier " << swat::kernel_isa()
+            << "\n";
   std::cout << "kernel                          baseline kernel(1t) kernel("
             << pool_threads << "t)  speedup(1t)\n";
   for (const BenchRow& r : rows) {

@@ -15,10 +15,21 @@ JSON:
   * per-bench sections — the top-level scalars, then each measurement
     array as a markdown table.
 
+It also applies within-run ratio gates, which survive host changes where
+absolute numbers do not:
+
+  * ISA dispatch (BENCH_kernels.json): when the serving kernels dispatch
+    to x86-64-v3 or x86-64-v4 (top-level "isa") and that tier has its own
+    code (it is above "build_isa", the tier the build flags reach, which
+    runs the baseline copy), its packed-GEMM arms must not be slower than
+    the baseline tier in the same run (speedup_1t >= 1). Every per-tier
+    arm must reproduce the baseline tier's output exactly
+    (max_abs_diff == 0).
+
 Usage: bench_summary.py [BENCH_a.json ...]   (default: BENCH_*.json in cwd)
-Exits non-zero if any named file is missing or unparsable; a run with no
-bench files at all is an error too (the step exists so the trajectory
-cannot silently go empty).
+Exits non-zero if any named file is missing or unparsable, or if a gate
+fails; a run with no bench files at all is an error too (the step exists
+so the trajectory cannot silently go empty).
 """
 
 import json
@@ -108,12 +119,37 @@ def placement_rows(name, data):
             for placement, (speedup, replicas) in sorted(best.items())]
 
 
-def render(files):
+def isa_gate_failures(name, data):
+    """Gate failures of the ISA-dispatch arms in one kernels bench file."""
+    failures = []
+    dispatched = data.get("isa")
+    own_copy = dispatched in ("x86-64-v3", "x86-64-v4") and (
+        dispatched != data.get("build_isa"))
+    for arm in data.get("kernels", []):
+        tier = arm.get("isa")
+        if tier is None:
+            continue
+        if arm.get("max_abs_diff") != 0:
+            failures.append(f"{name}: {arm['name']} differs from the baseline "
+                            f"tier (max_abs_diff {arm.get('max_abs_diff')})")
+        if (own_copy and tier == dispatched
+                and arm["name"].startswith("gemm_packed_isa_")
+                and arm.get("speedup_1t", 0) < 1.0):
+            failures.append(f"{name}: dispatched tier {tier} packed GEMM "
+                            f"{arm['name']} is slower than the baseline tier "
+                            f"(speedup_1t {fmt(arm.get('speedup_1t'))})")
+    return failures
+
+
+def load(files):
     benches = []
     for path in files:
         with path.open(encoding="utf-8") as fh:
             benches.append((path.name, json.load(fh)))
+    return benches
 
+
+def render(benches):
     out = ["# Bench trajectory", ""]
     headline = []
     for name, data in benches:
@@ -172,11 +208,17 @@ def main(argv):
         print("error: no BENCH_*.json artifacts found", file=sys.stderr)
         return 1
     try:
-        print(render(files))
+        benches = load(files)
     except (json.JSONDecodeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    return 0
+    print(render(benches))
+    failures = []
+    for name, data in benches:
+        failures += isa_gate_failures(name, data)
+    for failure in failures:
+        print(f"gate failed: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -24,21 +24,79 @@ namespace swat::attn {
 
 namespace {
 
+using swat::detail::KernelIsa;
+
 #if defined(__F16C__)
 // Inline scalar widen for the <8-lane loop tails: one vcvtph2ps, same bits
 // as the batch converter (exact widening), no out-of-line call per element.
 inline float f16_tail_to_f32(std::uint16_t bits) { return _cvtsh_ss(bits); }
 #endif
 
-// Defined below; the serial workers the batch entry point fans out.
-SWAT_NO_FP_CONTRACT
-void fused_window_tasks(ConstMatrixView q, ConstMatrixView k,
-                        ConstMatrixView v,
-                        std::span<const std::int64_t> offsets,
-                        std::int64_t num_heads, std::int64_t window_before,
-                        std::int64_t window_after, float scale, MatrixView out,
-                        std::int64_t t0, std::int64_t t1);
+// Query rows per tile of the serving workers (see fused_window_tasks).
+constexpr std::int64_t kQueryTile = 64;
 
+/// Largest |row max| for which a band of up to `band` scores runs Eq. 1
+/// literally: exp(limit) * band stays below FLT_MAX, so neither an exp
+/// nor the denominator can overflow, and limit <= 80 keeps exp(-limit) a
+/// normal float, so the row's largest term alone keeps denom > 0.
+inline float literal_exp_limit(std::int64_t band) {
+  return std::min(80.0f, std::log(std::numeric_limits<float>::max() /
+                                  static_cast<float>(band)));
+}
+
+/// Row-max guard of the serving workers. While the band's max lies in
+/// [-limit, limit] the scores are left untouched, so the row is Eq. 1
+/// literally and bit-identical to fused_window_attention; otherwise the
+/// max is subtracted first, so exp and the denominator stay finite and
+/// non-zero (the softmax is unchanged in real arithmetic).
+inline void shift_band_if_out_of_range(float* sb, std::int64_t count,
+                                       float limit) {
+  float mx = sb[0];
+  for (std::int64_t c = 1; c < count; ++c) mx = std::max(mx, sb[c]);
+  if (mx >= -limit && mx <= limit) return;
+  for (std::int64_t c = 0; c < count; ++c) sb[c] -= mx;
+}
+
+// The fp32 worker, one copy per ISA tier (common/isa.hpp).
+namespace isa_baseline {
+#include "attention/fused_tasks_f32.inc"
+}  // namespace isa_baseline
+
+#if SWAT_ISA_V3_COPY
+SWAT_ISA_PUSH_V3
+namespace isa_v3 {
+#include "attention/fused_tasks_f32.inc"
+}  // namespace isa_v3
+SWAT_ISA_POP
+#endif
+
+#if SWAT_ISA_V4_COPY
+SWAT_ISA_PUSH_V4
+namespace isa_v4 {
+#include "attention/fused_tasks_f32.inc"
+}  // namespace isa_v4
+SWAT_ISA_POP
+#endif
+
+using FusedTasksFn = decltype(&isa_baseline::fused_window_tasks);
+
+FusedTasksFn fused_tasks_for(KernelIsa isa) {
+  SWAT_EXPECTS(swat::detail::kernel_isa_supported(isa));
+  switch (isa) {
+#if SWAT_ISA_V4_COPY
+    case KernelIsa::kX86_64_V4:
+      return isa_v4::fused_window_tasks;
+#endif
+#if SWAT_ISA_V3_COPY
+    case KernelIsa::kX86_64_V3:
+      return isa_v3::fused_window_tasks;
+#endif
+    default:
+      return isa_baseline::fused_window_tasks;
+  }
+}
+
+// Defined below; the fp16 streamed-tile worker (build ISA only).
 void fused_window_tasks_f16(ConstMatrixView q, ConstMatrixView k,
                             ConstMatrixView v,
                             std::span<const std::int64_t> offsets,
@@ -46,15 +104,13 @@ void fused_window_tasks_f16(ConstMatrixView q, ConstMatrixView k,
                             std::int64_t window_after, float scale,
                             MatrixView out, std::int64_t t0, std::int64_t t1);
 
-}  // namespace
-
-void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
-                                       ConstMatrixView v,
-                                       std::span<const std::int64_t> offsets,
-                                       std::int64_t num_heads,
-                                       std::int64_t window_before,
-                                       std::int64_t window_after, float scale,
-                                       MatrixView out, Dtype stream_dtype) {
+void fused_window_batch_impl(KernelIsa isa, ConstMatrixView q,
+                             ConstMatrixView k, ConstMatrixView v,
+                             std::span<const std::int64_t> offsets,
+                             std::int64_t num_heads,
+                             std::int64_t window_before,
+                             std::int64_t window_after, float scale,
+                             MatrixView out, Dtype stream_dtype) {
   SWAT_EXPECTS(stream_dtype == Dtype::kFp32 || stream_dtype == Dtype::kFp16);
   SWAT_EXPECTS(num_heads >= 1);
   SWAT_EXPECTS(window_before >= 0 && window_after >= 0);
@@ -71,19 +127,40 @@ void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
     SWAT_EXPECTS(offsets[static_cast<std::size_t>(s)] <
                  offsets[static_cast<std::size_t>(s + 1)]);
   }
+  const FusedTasksFn tasks = stream_dtype == Dtype::kFp16
+                                 ? fused_window_tasks_f16
+                                 : fused_tasks_for(isa);
 
   // (sequence, head) tasks fan out over the pool; rows within a task run
   // serially in index order, so every output element's reduction order is
   // fixed regardless of the partition.
   parallel_for(0, nseq * num_heads, 1, [&](std::int64_t t0, std::int64_t t1) {
-    if (stream_dtype == Dtype::kFp16) {
-      fused_window_tasks_f16(q, k, v, offsets, num_heads, window_before,
-                             window_after, scale, out, t0, t1);
-    } else {
-      fused_window_tasks(q, k, v, offsets, num_heads, window_before,
-                         window_after, scale, out, t0, t1);
-    }
+    tasks(q, k, v, offsets, num_heads, window_before, window_after, scale,
+          out, t0, t1);
   });
+}
+
+}  // namespace
+
+void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
+                                       ConstMatrixView v,
+                                       std::span<const std::int64_t> offsets,
+                                       std::int64_t num_heads,
+                                       std::int64_t window_before,
+                                       std::int64_t window_after, float scale,
+                                       MatrixView out, Dtype stream_dtype) {
+  fused_window_batch_impl(swat::detail::dispatched_kernel_isa(), q, k, v,
+                          offsets, num_heads, window_before, window_after,
+                          scale, out, stream_dtype);
+}
+
+void detail::fused_window_attention_batch_isa(
+    KernelIsa isa, ConstMatrixView q, ConstMatrixView k, ConstMatrixView v,
+    std::span<const std::int64_t> offsets, std::int64_t num_heads,
+    std::int64_t window_before, std::int64_t window_after, float scale,
+    MatrixView out) {
+  fused_window_batch_impl(isa, q, k, v, offsets, num_heads, window_before,
+                          window_after, scale, out, Dtype::kFp32);
 }
 
 std::int64_t fused_window_kv_stream_bytes(std::int64_t seq_len,
@@ -111,105 +188,6 @@ std::int64_t fused_window_kv_stream_bytes(std::int64_t seq_len,
 
 namespace {
 
-// Query rows are processed in tiles: for each tile the K head slice its
-// band can touch (tile rows + window reach, independent of the sequence
-// length) is transposed once into per-thread scratch, so the score stage
-// streams K^T unit-stride and vectorizes across score columns while each
-// score element keeps dot()'s exact ascending-d reduction order. The
-// transpose is O(h) per tile row and amortizes over the whole tile.
-// SWAT_NO_FP_CONTRACT pins the multiply-then-add rounding of the score
-// and S'V loops to dot()/axpy()'s, so outputs are bit-identical to the
-// per-head kernel on every ISA.
-SWAT_NO_FP_CONTRACT
-void fused_window_tasks(ConstMatrixView q, ConstMatrixView k,
-                        ConstMatrixView v,
-                        std::span<const std::int64_t> offsets,
-                        std::int64_t num_heads, std::int64_t window_before,
-                        std::int64_t window_after, float scale, MatrixView out,
-                        std::int64_t t0, std::int64_t t1) {
-  SWAT_NO_FP_CONTRACT_BODY
-  const std::int64_t h = q.cols() / num_heads;
-  constexpr std::int64_t kQueryTile = 64;
-  {
-    // The only per-thread scratch, leased from the thread's Workspace
-    // arena (steady state is allocation-free): one scaled query row, one
-    // row's score band, one transposed K tile, one output-row accumulator
-    // — O(window x head_dim), never (rows x window).
-    const std::int64_t band = window_before + window_after + 1;
-    const std::int64_t tile_cols = kQueryTile + band - 1;
-    WorkspaceLease qs_lease(tls_workspace(), static_cast<std::size_t>(h));
-    WorkspaceLease s_lease(tls_workspace(), static_cast<std::size_t>(band));
-    WorkspaceLease kt_lease(tls_workspace(),
-                            static_cast<std::size_t>(tile_cols * h));
-    WorkspaceLease z_lease(tls_workspace(), static_cast<std::size_t>(h));
-    float* const qs = qs_lease.data();
-    float* const sp = s_lease.data();
-    float* const kt = kt_lease.data();
-    float* const zacc = z_lease.data();
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t s = t / num_heads;
-      const std::int64_t base = (t % num_heads) * h;
-      const std::int64_t row0 = offsets[static_cast<std::size_t>(s)];
-      const std::int64_t n = offsets[static_cast<std::size_t>(s + 1)] - row0;
-      for (std::int64_t i0 = 0; i0 < n; i0 += kQueryTile) {
-        const std::int64_t i1 = std::min(i0 + kQueryTile, n);
-        // K columns any row of this tile can attend: [tk0, tk1].
-        const std::int64_t tk0 = std::max<std::int64_t>(0, i0 - window_before);
-        const std::int64_t tk1 =
-            std::min<std::int64_t>(n - 1, i1 - 1 + window_after);
-        const std::int64_t tk = tk1 - tk0 + 1;
-        // kt[d * tk + (j - tk0)] = K[row0 + j][base + d]: the transposed
-        // tile the score loops stream unit-stride.
-        for (std::int64_t j = tk0; j <= tk1; ++j) {
-          const float* krow = k.row(row0 + j).data() + base;
-          for (std::int64_t d = 0; d < h; ++d) {
-            kt[d * tk + (j - tk0)] = krow[d];
-          }
-        }
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const float* qrow = q.row(row0 + i).data() + base;
-          for (std::int64_t d = 0; d < h; ++d) qs[d] = qrow[d] * scale;
-          const std::int64_t lo =
-              std::max<std::int64_t>(0, i - window_before);
-          const std::int64_t hi =
-              std::min<std::int64_t>(n - 1, i + window_after);
-          const std::int64_t count = hi - lo + 1;
-          // Exactly Eq. 1's operation order per element — QK dot, exp
-          // with no max subtraction, S'V accumulation, one deferred
-          // division — scheduled as one pass per stage over the row's
-          // score band so each tight loop pipelines. Element-wise the
-          // arithmetic and its order match fused_window_attention exactly
-          // (d and j ascending everywhere), so per-head outputs are
-          // bit-identical to the per-head kernel.
-          float* const __restrict sb = sp;
-          std::fill(sb, sb + count, 0.0f);
-          for (std::int64_t d = 0; d < h; ++d) {
-            const float qd = qs[d];
-            const float* const __restrict ktd = kt + d * tk + (lo - tk0);
-            for (std::int64_t c = 0; c < count; ++c) sb[c] += qd * ktd[c];
-          }
-          float denom = 0.0f;
-          for (std::int64_t c = 0; c < count; ++c) {
-            sb[c] = std::exp(sb[c]);
-            denom += sb[c];
-          }
-          float* const __restrict za = zacc;
-          std::fill(za, za + h, 0.0f);
-          for (std::int64_t c = 0; c < count; ++c) {
-            const float* const __restrict vr =
-                v.row(row0 + lo + c).data() + base;
-            const float e = sb[c];
-            for (std::int64_t d = 0; d < h; ++d) za[d] += e * vr[d];
-          }
-          SWAT_ENSURES(denom > 0.0f);
-          float* const zrow = out.row(row0 + i).data() + base;
-          for (std::int64_t d = 0; d < h; ++d) zrow[d] = za[d] / denom;
-        }
-      }
-    }
-  }
-}
-
 // fp16 streamed-tile twin of fused_window_tasks. The transposed K tile and
 // the row-major V band are narrowed to binary16 once per (sequence, head,
 // tile) with the RNE SIMD converter, so the score and S'V stages stream 2
@@ -232,7 +210,6 @@ void fused_window_tasks_f16(ConstMatrixView q, ConstMatrixView k,
                             std::int64_t window_after, float scale,
                             MatrixView out, std::int64_t t0, std::int64_t t1) {
   const std::int64_t h = q.cols() / num_heads;
-  constexpr std::int64_t kQueryTile = 64;
   {
     // Same O(window x head_dim) scratch shape as the fp32 worker plus the
     // two fp16 tiles (and, off-F16C, their fp32 twins); u16 storage leases
@@ -240,6 +217,7 @@ void fused_window_tasks_f16(ConstMatrixView q, ConstMatrixView k,
     // allocation-free after warmup.
     const std::int64_t band = window_before + window_after + 1;
     const std::int64_t tile_cols = kQueryTile + band - 1;
+    const float exp_limit = literal_exp_limit(band);
     const auto u16_floats = [](std::int64_t n) {
       return static_cast<std::size_t>((n + 1) / 2);
     };
@@ -341,6 +319,7 @@ void fused_window_tasks_f16(ConstMatrixView q, ConstMatrixView k,
             for (std::int64_t c = 0; c < count; ++c) sb[c] += qd * ktd[c];
 #endif
           }
+          shift_band_if_out_of_range(sb, count, exp_limit);
           // Exp pass: the fp16 stream trades oracle bit-parity for speed
           // under the fidelity budget, so it may use libmvec's vectorized
           // expf (<= 4 ulp — orders of magnitude inside the binary16

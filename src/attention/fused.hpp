@@ -23,6 +23,7 @@
 #include "attention/reference.hpp"
 #include "common/dtype.hpp"
 #include "common/fp16.hpp"
+#include "common/isa.hpp"
 
 namespace swat::attn {
 
@@ -33,8 +34,8 @@ MatrixF fused_window_attention(const HeadInput& in,
 /// attention kernel. `q`/`k`/`v` are the packed Q/K/V projections (rows x
 /// d_model, sequence s occupying rows [offsets[s], offsets[s+1])); each
 /// (sequence, head) task streams the paper's QK -> exp -> SV pass (Eq. 1,
-/// no max subtraction, exactly fused_window_attention's operation order)
-/// directly over its contiguous head slice and writes the head output in
+/// exactly fused_window_attention's operation order, behind the row-max
+/// guard described below) directly over its contiguous head slice and writes the head output in
 /// place into `out`'s matching slice (the concat staging). Row i attends
 /// columns [i - window_before, i + window_after] clipped to its own
 /// sequence; `scale` (the 1/sqrt(h) logit scaling) is folded into each
@@ -45,17 +46,20 @@ MatrixF fused_window_attention(const HeadInput& in,
 /// (both from the thread's Workspace arena), so the path performs zero
 /// heap allocations after warmup. Per-head outputs are bit-identical to
 /// fused_window_attention on the sliced head (when window_before ==
-/// window_after), for any thread count and batch composition.
+/// window_after and the guard leaves the row unshifted), for any thread
+/// count and batch composition.
 ///
-/// Numeric envelope: this is the paper's form — exp WITHOUT max
-/// subtraction — and it inherits Eq. 1's float range: a scaled logit
-/// above ~88.7 overflows exp to inf (NaN output after the division), and
-/// a row whose whole band sits below ~-87.3 underflows every term (the
-/// denom > 0 invariant throws). With the 1/sqrt(h) scaling folded into Q
-/// (as the model layer does), trained-model-like logits are comfortably
-/// inside that range; for adversarial magnitudes use the
-/// kWindowExact backend (stable softmax) or fused_window_attention_online
-/// (running max) instead.
+/// Numeric envelope: a row-max guard keeps every finite input finite.
+/// While the max of a row's scaled logits lies in [-L, L] — L = 80 for
+/// bands up to ~6000 keys, lower for wider bands so that band * exp(L)
+/// stays below FLT_MAX — the row is the paper's form literally (exp WITHOUT
+/// max subtraction) and bit-identical to fused_window_attention. Outside
+/// that range the row max is subtracted before exp, so neither exp nor the
+/// denominator can overflow or fully underflow. Trained-model-like logits
+/// (1/sqrt(h) folded into Q) sit inside the literal range.
+///
+/// The fp32 path runs on the ISA tier chosen at startup (common/isa.hpp);
+/// every tier produces the same bits.
 ///
 /// `stream_dtype` selects the streamed-tile precision (the paper's
 /// datapath is natively fp16, §4 / Table 2):
@@ -76,6 +80,19 @@ void fused_window_attention_batch_into(ConstMatrixView q, ConstMatrixView k,
                                        std::int64_t window_after, float scale,
                                        MatrixView out,
                                        Dtype stream_dtype = Dtype::kFp32);
+
+namespace detail {
+
+/// fused_window_attention_batch_into (fp32 stream) pinned to ISA tier `isa`,
+/// which must be kernel_isa_supported, instead of the dispatched one. For
+/// tests and benches that compare tiers.
+void fused_window_attention_batch_isa(
+    swat::detail::KernelIsa isa, ConstMatrixView q, ConstMatrixView k,
+    ConstMatrixView v, std::span<const std::int64_t> offsets,
+    std::int64_t num_heads, std::int64_t window_before,
+    std::int64_t window_after, float scale, MatrixView out);
+
+}  // namespace detail
 
 /// Bytes of K/V tile data the fused kernel's score + S'V stages stream for
 /// one sequence of `seq_len` rows: every row reads its clipped band

@@ -12,10 +12,10 @@
 //                       O(window x head_dim) per-thread scratch. Pure
 //                       sliding-window configs only (global/random cores
 //                       and dilation are rejected at validation). Eq. 1
-//                       skips the softmax max subtraction, so scaled
-//                       logits must stay inside float exp range (see
-//                       attention/fused.hpp); kWindowExact is the
-//                       numerically-armored fallback;
+//                       skips the softmax max subtraction; a row-max
+//                       guard subtracts it only for rows whose logits
+//                       leave float exp range (see attention/fused.hpp),
+//                       so any finite input gives a finite output;
 //   * kSwatSimulator  — the SWAT functional simulator: each head is
 //                       scheduled onto the accelerator model, including the
 //                       fp16 datapath rounding and the off-chip traffic

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
-#include <optional>
 
 #include "common/fp16.hpp"
+#include "common/isa.hpp"
 #include "common/thread_pool.hpp"
 
 namespace swat {
@@ -325,17 +325,10 @@ void pack_weight_nt(const MatrixF& w, PackedWeight& packed, Dtype dtype) {
 
 namespace {
 
-enum class PackedEpilogue { kNone, kGelu, kResidualAdd };
+using detail::KernelIsa;
+using detail::PackedEpilogue;
 
 constexpr std::int64_t kPanel = PackedWeight::kPanel;
-// Rows per register tile: 6 rows x 32 lanes = 12 independent 512-bit
-// multiply-accumulate chains (or 24 256-bit ones) — enough to hide the
-// arithmetic latency without exhausting the architectural registers.
-// Measured on the encoder's projection/FFN shapes this tile runs
-// 1.7-2.6x the blocked row-major GEMM with -march=native (where the
-// blocked kernel contracts to FMA but this one, pinned un-contracted for
-// cross-ISA bit-stability, still wins on register reuse alone).
-constexpr std::int64_t kPackedRowTile = 6;
 // 2D fan-out grain: row tiles x panel groups. 60 rows (10 full register
 // tiles) x 8 panels (256 columns) keeps a tile's A rows and packed panels
 // cache-resident while exposing enough tiles that the pool load-balances
@@ -359,57 +352,72 @@ inline float packed_finish(float acc, PackedEpilogue ep, float residual) {
   return acc;  // unreachable
 }
 
-/// Register-tiled microkernel: ROWS query rows against one packed panel.
-/// Each of the ROWS x kPanel accumulators is a single float walked in
-/// ascending k — the exact reduction order of matmul_nt_naive's dot() —
-/// so results are bit-identical to the scalar oracle and independent of
-/// the tile partition, the row tile size, and the thread count. The k
-/// loop is unrolled by 4 as *separate* accumulate statements (never
-/// pairwise sums), which trims loop overhead without touching the
-/// reduction order.
-template <int ROWS>
-SWAT_NO_FP_CONTRACT void gemm_packed_tile(
-    const float* a, std::int64_t lda, const float* panel, std::int64_t k,
-    const float* seed, PackedEpilogue ep, ConstMatrixView residual,
-    MatrixView out, std::int64_t i, std::int64_t j0, std::int64_t width) {
-  SWAT_NO_FP_CONTRACT_BODY
-  float acc[ROWS][kPanel];
-  const float* ar[ROWS];
-  for (int r = 0; r < ROWS; ++r) {
-    ar[r] = a + (i + r) * lda;
-    for (std::int64_t l = 0; l < kPanel; ++l) acc[r][l] = seed[l];
+/// Fill one panel's accumulator seed from the bias and return the panel's
+/// live width. Padded lanes seed with 0 and accumulate against zero
+/// weights; they stay finite and are never stored.
+inline std::int64_t packed_seed(const float* bias, std::int64_t n,
+                                std::int64_t j0, float* seed) {
+  const std::int64_t width = std::min(kPanel, n - j0);
+  for (std::int64_t l = 0; l < kPanel; ++l) {
+    seed[l] = (bias != nullptr && l < width) ? bias[j0 + l] : 0.0f;
   }
-  std::int64_t kk = 0;
-  for (; kk + 4 <= k; kk += 4) {
-    const float* bp0 = panel + kk * kPanel;
-    for (int u = 0; u < 4; ++u) {
-      const float* bp = bp0 + u * kPanel;
-      for (int r = 0; r < ROWS; ++r) {
-        const float av = ar[r][kk + u];
-        for (std::int64_t l = 0; l < kPanel; ++l) acc[r][l] += av * bp[l];
-      }
-    }
-  }
-  for (; kk < k; ++kk) {
-    const float* bp = panel + kk * kPanel;
-    for (int r = 0; r < ROWS; ++r) {
-      const float av = ar[r][kk];
-      for (std::int64_t l = 0; l < kPanel; ++l) acc[r][l] += av * bp[l];
-    }
-  }
-  for (int r = 0; r < ROWS; ++r) {
-    for (std::int64_t l = 0; l < width; ++l) {
-      out(i + r, j0 + l) = packed_finish(
-          acc[r][l], ep,
-          ep == PackedEpilogue::kResidualAdd ? residual(i + r, j0 + l)
-                                             : 0.0f);
-    }
+  return width;
+}
+
+// The fp32 panel loop, one copy per ISA tier (common/isa.hpp). kRowTile is
+// the tier's register tile height: rows x kPanel lanes of accumulators.
+// On x86-64-v4, 6 rows x 32 lanes = 12 independent 512-bit chains fit the
+// 32 zmm registers with room for the panel loads and hide the
+// multiply/add latency; on x86-64-v3, 3 rows x 32 lanes = 12 ymm chains
+// fit its 16 registers where 6 rows would spill. The baseline copy takes
+// the height of the level the build's flags reach (6 on plain x86-64, as
+// before dispatch existed). The tile height never changes results (see
+// gemm_packed_tile).
+namespace isa_baseline {
+constexpr int kRowTile = SWAT_ISA_BUILD_LEVEL == 1 ? 3 : 6;
+#include "tensor/packed_panels_f32.inc"
+}  // namespace isa_baseline
+
+#if SWAT_ISA_V3_COPY
+SWAT_ISA_PUSH_V3
+namespace isa_v3 {
+constexpr int kRowTile = 3;
+#include "tensor/packed_panels_f32.inc"
+}  // namespace isa_v3
+SWAT_ISA_POP
+#endif
+
+#if SWAT_ISA_V4_COPY
+SWAT_ISA_PUSH_V4
+namespace isa_v4 {
+constexpr int kRowTile = 6;
+#include "tensor/packed_panels_f32.inc"
+}  // namespace isa_v4
+SWAT_ISA_POP
+#endif
+
+using PackedPanelsFn = decltype(&isa_baseline::gemm_packed_panels);
+
+PackedPanelsFn packed_panels_for(KernelIsa isa) {
+  SWAT_EXPECTS(detail::kernel_isa_supported(isa));
+  switch (isa) {
+#if SWAT_ISA_V4_COPY
+    case KernelIsa::kX86_64_V4:
+      return isa_v4::gemm_packed_panels;
+#endif
+#if SWAT_ISA_V3_COPY
+    case KernelIsa::kX86_64_V3:
+      return isa_v3::gemm_packed_panels;
+#endif
+    default:
+      return isa_baseline::gemm_packed_panels;
   }
 }
 
 /// The fp16 variant of gemm_packed_tile: identical loop structure and
 /// accumulation order (single fp32 accumulator per element, ascending k),
-/// but WITHOUT the SWAT_NO_FP_CONTRACT pin. A deliberate near-duplicate
+/// but WITHOUT the SWAT_NO_FP_CONTRACT pin, and compiled only for the
+/// build's own ISA (no per-tier copies). A deliberate near-duplicate
 /// rather than a shared body: GCC refuses to inline across functions with
 /// differing `optimize` attributes, and the whole point of the fp16 path
 /// is to let -march=native contract the multiply-add into FMAs — the pack
@@ -458,75 +466,49 @@ void gemm_packed_tile_contract(const float* a, std::int64_t lda,
   }
 }
 
-/// Serial packed-GEMM over rows [i0, i1) and panels [p0, p1): full
-/// kPackedRowTile-row register tiles, then single-row tiles for the
-/// remainder (same per-element arithmetic, so the split point does not
-/// affect results). For fp16 packs, each panel is widened once into a
-/// per-thread scratch buffer (k x kPanel floats, amortized over all the
-/// task's row tiles) and the contraction-allowed tile runs on the widened
-/// copy — the decode is the only extra work, and the streamed bytes per
-/// panel halve.
-void gemm_packed_rows(ConstMatrixView a, const PackedWeight& w,
-                      const float* bias, PackedEpilogue ep,
-                      ConstMatrixView residual, MatrixView out,
-                      std::int64_t i0, std::int64_t i1, std::int64_t p0,
-                      std::int64_t p1) {
+/// Serial fp16 packed GEMM over rows [i0, i1) and panels [p0, p1). Each
+/// panel is widened once into a per-thread scratch buffer (k x kPanel
+/// floats, amortized over all the task's row tiles) and the
+/// contraction-allowed tile runs on the widened copy — the decode is the
+/// only extra work, and the streamed bytes per panel halve.
+void gemm_packed_rows_f16(ConstMatrixView a, const PackedWeight& w,
+                          const float* bias, PackedEpilogue ep,
+                          ConstMatrixView residual, MatrixView out,
+                          std::int64_t i0, std::int64_t i1, std::int64_t p0,
+                          std::int64_t p1) {
+  constexpr int kRowTile = 6;
   const std::int64_t k = w.in_features;
-  const std::int64_t n = w.out_features;
   const float* adata = a.data();
   const std::int64_t lda = a.stride();
-  const bool half = w.dtype == Dtype::kFp16;
   // Scratch for one widened panel; leased per task, so after warmup the
   // per-thread workspace serves every subsequent call allocation-free.
-  // The fp32 path takes no lease at all.
-  std::optional<WorkspaceLease> widened;
-  if (half) {
-    widened.emplace(tls_workspace(), static_cast<std::size_t>(k * kPanel));
-  }
+  WorkspaceLease widened(tls_workspace(), static_cast<std::size_t>(k * kPanel));
   for (std::int64_t p = p0; p < p1; ++p) {
-    const float* panel;
-    if (half) {
-      f16_bits_to_f32_batch(
-          w.data_f16.data() + static_cast<std::size_t>(p * k * kPanel),
-          widened->data(), static_cast<std::size_t>(k * kPanel));
-      panel = widened->data();
-    } else {
-      panel = w.data.data() + static_cast<std::size_t>(p * k * kPanel);
-    }
+    f16_bits_to_f32_batch(
+        w.data_f16.data() + static_cast<std::size_t>(p * k * kPanel),
+        widened.data(), static_cast<std::size_t>(k * kPanel));
+    const float* panel = widened.data();
     const std::int64_t j0 = p * kPanel;
-    const std::int64_t width = std::min(kPanel, n - j0);
-    // Padded lanes seed with 0 and accumulate against zero weights; they
-    // stay finite and are never stored.
     float seed[kPanel];
-    for (std::int64_t l = 0; l < kPanel; ++l) {
-      seed[l] = (bias != nullptr && l < width) ? bias[j0 + l] : 0.0f;
-    }
+    const std::int64_t width = packed_seed(bias, w.out_features, j0, seed);
     std::int64_t i = i0;
-    if (half) {
-      for (; i + kPackedRowTile <= i1; i += kPackedRowTile) {
-        gemm_packed_tile_contract<kPackedRowTile>(
-            adata, lda, panel, k, seed, ep, residual, out, i, j0, width);
-      }
-      for (; i < i1; ++i) {
-        gemm_packed_tile_contract<1>(adata, lda, panel, k, seed, ep,
-                                     residual, out, i, j0, width);
-      }
-    } else {
-      for (; i + kPackedRowTile <= i1; i += kPackedRowTile) {
-        gemm_packed_tile<kPackedRowTile>(adata, lda, panel, k, seed, ep,
-                                         residual, out, i, j0, width);
-      }
-      for (; i < i1; ++i) {
-        gemm_packed_tile<1>(adata, lda, panel, k, seed, ep, residual, out, i,
-                            j0, width);
-      }
+    for (; i + kRowTile <= i1; i += kRowTile) {
+      gemm_packed_tile_contract<kRowTile>(adata, lda, panel, k, seed, ep,
+                                          residual, out, i, j0, width);
+    }
+    for (; i < i1; ++i) {
+      gemm_packed_tile_contract<1>(adata, lda, panel, k, seed, ep, residual,
+                                   out, i, j0, width);
     }
   }
 }
 
-void gemm_packed_impl(ConstMatrixView a, const PackedWeight& w,
-                      std::span<const float> bias, PackedEpilogue ep,
-                      ConstMatrixView residual, MatrixView out) {
+}  // namespace
+
+void detail::gemm_packed_isa(KernelIsa isa, ConstMatrixView a,
+                             const PackedWeight& w,
+                             std::span<const float> bias, PackedEpilogue ep,
+                             ConstMatrixView residual, MatrixView out) {
   SWAT_EXPECTS(a.cols() == w.in_features);
   SWAT_EXPECTS(out.rows() == a.rows() && out.cols() == w.out_features);
   SWAT_EXPECTS(bias.empty() ||
@@ -540,35 +522,40 @@ void gemm_packed_impl(ConstMatrixView a, const PackedWeight& w,
     SWAT_EXPECTS(out.size() == 0 || residual.size() == 0 ||
                  out.data() != residual.data());
   }
+  // Resolved once per call, before the fan-out: every task runs one tier.
+  const PackedPanelsFn f32_panels = packed_panels_for(isa);
   const std::int64_t m = a.rows();
   if (m == 0 || w.out_features == 0) return;  // no output elements exist
   // k == 0 still initializes every element from the bias seed (or zero):
   // the microkernel's k loop is simply empty.
   const float* bias_ptr = bias.empty() ? nullptr : bias.data();
+  const bool half = w.dtype == Dtype::kFp16;
   parallel_for_2d(m, kPackedRowGrain, w.panels(), kPackedPanelGrain,
                   [&](std::int64_t i0, std::int64_t i1, std::int64_t panel0,
                       std::int64_t panel1) {
-                    gemm_packed_rows(a, w, bias_ptr, ep, residual, out, i0,
-                                     i1, panel0, panel1);
+                    (half ? gemm_packed_rows_f16 : f32_panels)(
+                        a, w, bias_ptr, ep, residual, out, i0, i1, panel0,
+                        panel1);
                   });
 }
 
-}  // namespace
-
 void gemm_packed_into(ConstMatrixView a, const PackedWeight& w,
                       std::span<const float> bias, MatrixView out) {
-  gemm_packed_impl(a, w, bias, PackedEpilogue::kNone, {}, out);
+  detail::gemm_packed_isa(detail::dispatched_kernel_isa(), a, w, bias,
+                          PackedEpilogue::kNone, {}, out);
 }
 
 void gemm_packed_gelu_into(ConstMatrixView a, const PackedWeight& w,
                            std::span<const float> bias, MatrixView out) {
-  gemm_packed_impl(a, w, bias, PackedEpilogue::kGelu, {}, out);
+  detail::gemm_packed_isa(detail::dispatched_kernel_isa(), a, w, bias,
+                          PackedEpilogue::kGelu, {}, out);
 }
 
 void gemm_packed_residual_into(ConstMatrixView a, const PackedWeight& w,
                                std::span<const float> bias,
                                ConstMatrixView residual, MatrixView out) {
-  gemm_packed_impl(a, w, bias, PackedEpilogue::kResidualAdd, residual, out);
+  detail::gemm_packed_isa(detail::dispatched_kernel_isa(), a, w, bias,
+                          PackedEpilogue::kResidualAdd, residual, out);
 }
 
 // ------------------------------------------------- naive seed kernels ----

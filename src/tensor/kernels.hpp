@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/dtype.hpp"
+#include "common/isa.hpp"
 #include "common/uninit_allocator.hpp"
 #include "tensor/matrix.hpp"
 
@@ -145,8 +146,10 @@ MatrixF matmul_nt_naive(const MatrixF& a, const MatrixF& b);
 //    rounded before the add (SWAT_NO_FP_CONTRACT pins that even on FMA
 //    ISAs) — the exact arithmetic of matmul_nt_naive's dot() — so
 //    gemm_packed output is bit-identical to the scalar oracle for every
-//    shape, thread count, tile partition, AND host ISA (-march=native and
-//    portable builds produce the same bits).
+//    shape, thread count, tile partition, ISA tier AND host ISA
+//    (-march=native and portable builds produce the same bits). The
+//    portable build runs this path on the host's AVX2 or AVX-512 copy,
+//    chosen at startup (common/isa.hpp, kernel_isa()).
 //  * Dtype::kFp16 — pack_weight_nt rounds each weight once (RNE) to
 //    binary16 at pack time, halving the panel bytes the microkernel
 //    streams; the kernel widens each panel back to float before the tile
@@ -165,8 +168,9 @@ MatrixF matmul_nt_naive(const MatrixF& a, const MatrixF& b);
 // output matrix per pass.
 struct PackedWeight {
   /// Output columns per packed panel (the microkernel's register width:
-  /// 32 lanes x 6 rows of accumulators = 12 independent FMA chains on
-  /// 512-bit SIMD, enough to hide the FMA latency).
+  /// 32 lanes x a per-ISA-tier row count of accumulators — 12 independent
+  /// multiply-add chains on both AVX-512 and AVX2, enough to hide the
+  /// arithmetic latency).
   static constexpr std::int64_t kPanel = 32;
 
   // Panel storage skips value-initialization (DefaultInitAllocator) so
@@ -252,6 +256,16 @@ void gemm(const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
 /// Raw blocked transpose: T[cols x rows] = A[rows x cols]^T.
 void transpose_raw(const float* a, std::int64_t lda, float* t,
                    std::int64_t ldt, std::int64_t rows, std::int64_t cols);
+
+enum class PackedEpilogue { kNone, kGelu, kResidualAdd };
+
+/// The packed GEMM with its fp32 panel loop pinned to ISA tier `isa`
+/// (which must be kernel_isa_supported) instead of the dispatched one.
+/// The public gemm_packed_*_into run this with dispatched_kernel_isa();
+/// tests and benches use it to compare tiers. fp16 packs ignore `isa`.
+void gemm_packed_isa(KernelIsa isa, ConstMatrixView a, const PackedWeight& w,
+                     std::span<const float> bias, PackedEpilogue ep,
+                     ConstMatrixView residual, MatrixView out);
 
 }  // namespace detail
 

@@ -297,6 +297,35 @@ TEST(FusedStreamingBackend, CloseToWindowExactBackend) {
                                     "fused vs window-exact encoder");
 }
 
+TEST(FusedStreamingBackend, RowMaxGuardTracksWindowExactAtAnyActivationScale) {
+  // Scaling the activations by s scales the logits by ~s^2: from x8 on,
+  // rows leave the range where Eq. 1's unshifted exp is finite and the
+  // row-max guard must take over. One-hot rows of the same norm are the
+  // adversarial case: one key dominates its band outright.
+  EncoderConfig fused = fused_config();
+  EncoderConfig window = fused_config();
+  window.backend = AttentionBackend::kWindowExact;
+  const model::Encoder fe(fused);
+  const model::Encoder we(window);
+  Rng rng(321);
+  const MatrixF base = random_normal(48, fused.d_model, rng);
+  for (const float s : {1.0f, 2.0f, 4.0f, 8.0f, 16.0f, 32.0f, 64.0f}) {
+    MatrixF x = base;
+    for (float& e : x.flat()) e *= s;
+    for (std::int64_t i = 0; i < x.rows(); i += 5) {
+      const float norm = s * std::sqrt(static_cast<float>(fused.d_model));
+      for (float& e : x.row(i)) e = 0.0f;
+      x(i, rng.integer(0, fused.d_model - 1)) =
+          (i % 2 == 0) ? norm : -norm;
+    }
+    const MatrixF got = fe.forward(x);
+    for (const float e : got.flat()) ASSERT_TRUE(std::isfinite(e)) << "x" << s;
+    swat::testing::expect_matrix_near(
+        got, we.forward(x), 2e-4f,
+        ("fused vs window-exact encoder at x" + std::to_string(s)).c_str());
+  }
+}
+
 TEST(FusedStreamingBackend, ThreadCountInvarianceThroughTheEngine) {
   const EncoderConfig cfg = fused_config();
   Rng rng(31);
