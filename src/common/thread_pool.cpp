@@ -190,15 +190,37 @@ void ThreadPool::worker_loop() {
     std::shared_ptr<Job> job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
+      // Join a new job only while fewer than num_threads() threads of this
+      // pool are running chunks. Callers of concurrent parallel_fors (two
+      // engine replicas sharing the pool) each run chunks too, so without
+      // the cap callers + workers would exceed the CPUs the pool was sized
+      // for, and a worker preempted mid-chunk stalls its caller's join.
       work_cv_.wait(lock, [&] {
-        return stopping_ || (job_ != nullptr && job_epoch_ != seen_epoch);
+        return stopping_ ||
+               (job_ != nullptr && job_epoch_ != seen_epoch &&
+                running_.load(std::memory_order_relaxed) < num_threads_);
       });
       if (stopping_) return;
       seen_epoch = job_epoch_;
       job = job_;
+      running_.fetch_add(1, std::memory_order_relaxed);
     }
     run_chunks(*job);
+    leave_chunks();
   }
+}
+
+void ThreadPool::leave_chunks() {
+  running_.fetch_sub(1, std::memory_order_relaxed);
+  // The freed slot may let a worker the cap held back join the current
+  // job, if that job still has chunks nobody has claimed.
+  bool open;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open = job_ != nullptr &&
+           job_->next.load(std::memory_order_relaxed) < job_->num_chunks;
+  }
+  if (open) work_cv_.notify_one();
 }
 
 void ThreadPool::parallel_for_raw(std::int64_t begin, std::int64_t end,
@@ -230,6 +252,7 @@ void ThreadPool::parallel_for_raw(std::int64_t begin, std::int64_t end,
   job->fn = fn;
   job->ctx = ctx;
 
+  running_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     job_ = job;
@@ -239,6 +262,7 @@ void ThreadPool::parallel_for_raw(std::int64_t begin, std::int64_t end,
 
   // The caller participates, then waits for stragglers.
   run_chunks(*job);
+  leave_chunks();
   {
     std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, [&] {

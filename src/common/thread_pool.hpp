@@ -131,6 +131,9 @@ class ThreadPool {
   };
 
   void run_chunks(Job& job);
+  /// Leave run_chunks: release this thread's running_ slot and wake a
+  /// worker the cap held back if the current job still has open chunks.
+  void leave_chunks();
 
   std::atomic<int> num_threads_{1};
   CpuSet affinity_;  ///< immutable after construction
@@ -141,6 +144,9 @@ class ThreadPool {
   std::condition_variable done_cv_;
   std::shared_ptr<Job> job_;       // current job, guarded by mutex_
   std::uint64_t job_epoch_ = 0;    // bumped per job so sleeping workers skip
+  // Threads inside run_chunks for a dispatched job: callers and workers.
+  // A worker joins a job only while this is below num_threads_.
+  std::atomic<int> running_{0};
   bool stopping_ = false;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numbers>
 
 #include "common/fp16.hpp"
 #include "common/isa.hpp"
@@ -329,12 +328,13 @@ using detail::KernelIsa;
 using detail::PackedEpilogue;
 
 constexpr std::int64_t kPanel = PackedWeight::kPanel;
-// 2D fan-out grain: row tiles x panel groups. 60 rows (10 full register
-// tiles) x 8 panels (256 columns) keeps a tile's A rows and packed panels
-// cache-resident while exposing enough tiles that the pool load-balances
-// ragged shapes.
-constexpr std::int64_t kPackedRowGrain = 60;
-constexpr std::int64_t kPackedPanelGrain = 8;
+// 2D fan-out grain: row tiles x panel groups. 24 rows (whole 6- and 3-row
+// register tiles) x 4 panels (128 columns) keeps a tile's A rows and packed
+// panels cache-resident while giving serving-sized GEMMs (a few hundred
+// rows, 256 columns) enough tiles that four threads load-balance, and a
+// thread that is descheduled mid-GEMM holds back only a small tile.
+constexpr std::int64_t kPackedRowGrain = 24;
+constexpr std::int64_t kPackedPanelGrain = 4;
 
 /// Apply the epilogue to one accumulator and store it. The accumulator
 /// already holds bias + sum_k a*w in ascending-k order; GELU and the
@@ -657,16 +657,6 @@ MatrixF layer_norm_naive(const MatrixF& x, std::span<const float> gamma,
     }
   }
   return y;
-}
-
-// No-contract so the polynomial rounds identically wherever it is called
-// from — the fused GEMM epilogue (itself a no-contract context), the
-// gelu_into pass, and the scalar oracle — on FMA and non-FMA ISAs alike.
-SWAT_NO_FP_CONTRACT
-float gelu(float x) {
-  SWAT_NO_FP_CONTRACT_BODY
-  const float c = std::sqrt(2.0f / std::numbers::pi_v<float>);
-  return 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
 }
 
 void gelu_into(ConstMatrixView x, MatrixView out) {

@@ -13,12 +13,14 @@
 //    partition of rows over threads varies).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "common/dtype.hpp"
 #include "common/isa.hpp"
 #include "common/uninit_allocator.hpp"
@@ -289,10 +291,58 @@ void layer_norm_into(ConstMatrixView x, std::span<const float> gamma,
 MatrixF layer_norm_naive(const MatrixF& x, std::span<const float> gamma,
                          std::span<const float> beta, float eps);
 
-/// GELU activation, tanh approximation — the exact expression the encoder
-/// has always used, exposed at the tensor layer so the planned and the
-/// allocating paths share one definition.
-float gelu(float x);
+/// GELU activation, tanh approximation: 0.5 x (1 + tanh(z)) with
+/// z = sqrt(2/pi) (x + 0.044715 x^3), evaluated as the equal x * sigmoid(2z)
+/// = x / (1 + exp(-2z)) — no cancellation for negative x. exp is a
+/// Cody-Waite range reduction plus a degree-7 polynomial (about 1 ulp on
+/// the clamped argument |2z| <= 88), and every branch is a bit mask, so a
+/// loop of gelu calls vectorizes on any ISA tier (the packed GEMM's GELU
+/// epilogue relies on it). Only IEEE-rounded +, -, *, / and integer ops
+/// under the no-contract pin: bit-identical on every tier and every
+/// caller. Defined inline so each tier's kernel body inlines its own copy;
+/// the planned and the allocating paths share this one definition.
+SWAT_NO_FP_CONTRACT
+inline float gelu(float x) {
+  SWAT_NO_FP_CONTRACT_BODY
+  constexpr float kTwoC = 1.5957691216057308f;  // 2 sqrt(2 / pi)
+  constexpr float kLog2e = 1.44269504088896341f;
+  constexpr float kLn2Hi = 0.693145751953125f;  // exact times any |n| <= 128
+  constexpr float kLn2Lo = 1.42860682030941723212e-6f;
+  constexpr float kRound = 12582912.0f;         // 1.5 * 2^23
+  constexpr std::uint32_t kClamp = 0x42b00000u;  // 88.0f
+  constexpr std::uint32_t kOne = 0x3f800000u;    // 1.0f
+  const float u = kTwoC * (x + 0.044715f * x * x * x);  // 2z
+  // s = -min(|u|, 88) on the bit patterns (NaN and inf clamp too), so
+  // n >= -127 below and the 2^n scale is a normal float or, for
+  // n = -127, exactly zero: exp(s) never leaves [0, 1].
+  const std::uint32_t abits = std::bit_cast<std::uint32_t>(u) & 0x7fffffffu;
+  const std::uint32_t below = static_cast<std::uint32_t>(
+      static_cast<std::int32_t>(abits - kClamp) >> 31);
+  const float s = -std::bit_cast<float>((abits & below) | (kClamp & ~below));
+  // exp(s) = 2^n * e^r, n = round(s / ln 2), |r| <= ln(2) / 2.
+  const float kn = s * kLog2e + kRound;
+  const float n = kn - kRound;
+  const float r = (s - n * kLn2Hi) - n * kLn2Lo;
+  float p = 1.0f / 5040.0f;
+  p = p * r + 1.0f / 720.0f;
+  p = p * r + 1.0f / 120.0f;
+  p = p * r + 1.0f / 24.0f;
+  p = p * r + 1.0f / 6.0f;
+  p = p * r + 0.5f;
+  p = p * r + 1.0f;
+  p = p * r + 1.0f;
+  const std::uint32_t scale =
+      (std::bit_cast<std::uint32_t>(kn) - std::bit_cast<std::uint32_t>(kRound) +
+       127u)
+      << 23;
+  const float e = p * std::bit_cast<float>(scale);  // exp(-|2z|)
+  // sigmoid(2z) = 1 / (1 + e) for z >= 0 and e / (1 + e) for z < 0.
+  const std::uint32_t negative = static_cast<std::uint32_t>(
+      std::bit_cast<std::int32_t>(u) >> 31);
+  const float num = std::bit_cast<float>(
+      (std::bit_cast<std::uint32_t>(e) & negative) | (kOne & ~negative));
+  return x * num / (1.0f + e);
+}
 
 /// out[i, j] = gelu(x[i, j]); `out` may alias x (in-place).
 void gelu_into(ConstMatrixView x, MatrixView out);

@@ -146,6 +146,27 @@ TEST(LayerNormInto, RejectsMismatchedAffineLength) {
                std::invalid_argument);
 }
 
+TEST(Gelu, TracksDoublePrecisionTanhForm) {
+  // gelu evaluates the tanh form as x * sigmoid(2z) with its own exp; it
+  // must stay within a few float ulps of the literal expression in double.
+  const double c = std::sqrt(2.0 / 3.14159265358979323846);
+  double worst = 0.0;
+  for (int i = -400000; i <= 400000; ++i) {
+    const float x = static_cast<float>(i) * 5e-5f;  // [-20, 20]
+    const double xd = x;
+    const double want =
+        0.5 * xd * (1.0 + std::tanh(c * (xd + 0.044715 * xd * xd * xd)));
+    const double err = std::fabs(static_cast<double>(gelu(x)) - want);
+    worst = std::max(worst, err / std::max(std::fabs(want), 1.0));
+  }
+  EXPECT_LT(worst, 1e-6);
+  EXPECT_EQ(gelu(0.0f), 0.0f);
+  EXPECT_EQ(gelu(1e30f), 1e30f);
+  EXPECT_EQ(gelu(-1e30f), 0.0f);
+  EXPECT_EQ(gelu(INFINITY), INFINITY);
+  EXPECT_TRUE(std::isnan(gelu(NAN)));
+}
+
 TEST(GeluInto, MatchesNaiveOracleBitExactIncludingInPlace) {
   Rng rng(23);
   const MatrixF x = random_normal(13, 31, rng, 4.0);
