@@ -102,7 +102,8 @@ void fused_window_tasks_f16(ConstMatrixView q, ConstMatrixView k,
                             std::span<const std::int64_t> offsets,
                             std::int64_t num_heads, std::int64_t window_before,
                             std::int64_t window_after, float scale,
-                            MatrixView out, std::int64_t t0, std::int64_t t1);
+                            MatrixView out, std::int64_t tiles,
+                            std::int64_t t0, std::int64_t t1);
 
 void fused_window_batch_impl(KernelIsa isa, ConstMatrixView q,
                              ConstMatrixView k, ConstMatrixView v,
@@ -123,21 +124,28 @@ void fused_window_batch_impl(KernelIsa isa, ConstMatrixView q,
   SWAT_EXPECTS(offsets.size() >= 2);
   SWAT_EXPECTS(offsets.front() == 0 && offsets.back() == rows);
   const std::int64_t nseq = static_cast<std::int64_t>(offsets.size()) - 1;
+  std::int64_t longest = 0;
   for (std::int64_t s = 0; s < nseq; ++s) {
     SWAT_EXPECTS(offsets[static_cast<std::size_t>(s)] <
                  offsets[static_cast<std::size_t>(s + 1)]);
+    longest = std::max(longest, offsets[static_cast<std::size_t>(s + 1)] -
+                                    offsets[static_cast<std::size_t>(s)]);
   }
   const FusedTasksFn tasks = stream_dtype == Dtype::kFp16
                                  ? fused_window_tasks_f16
                                  : fused_tasks_for(isa);
 
-  // (sequence, head) tasks fan out over the pool; rows within a task run
-  // serially in index order, so every output element's reduction order is
-  // fixed regardless of the partition.
-  parallel_for(0, nseq * num_heads, 1, [&](std::int64_t t0, std::int64_t t1) {
-    tasks(q, k, v, offsets, num_heads, window_before, window_after, scale,
-          out, t0, t1);
-  });
+  // (sequence, head, query tile) tasks fan out over the pool, `tiles` per
+  // (sequence, head) whatever the sequence's length, so a singleton batch
+  // still spreads over every thread. Rows within a tile run serially in
+  // index order and each row reads only its own band, so every output
+  // element's reduction order is fixed regardless of the partition.
+  const std::int64_t tiles = (longest + kQueryTile - 1) / kQueryTile;
+  parallel_for(0, nseq * num_heads * tiles, 1,
+               [&](std::int64_t t0, std::int64_t t1) {
+                 tasks(q, k, v, offsets, num_heads, window_before,
+                       window_after, scale, out, tiles, t0, t1);
+               });
 }
 
 }  // namespace
@@ -208,7 +216,8 @@ void fused_window_tasks_f16(ConstMatrixView q, ConstMatrixView k,
                             std::span<const std::int64_t> offsets,
                             std::int64_t num_heads, std::int64_t window_before,
                             std::int64_t window_after, float scale,
-                            MatrixView out, std::int64_t t0, std::int64_t t1) {
+                            MatrixView out, std::int64_t tiles,
+                            std::int64_t t0, std::int64_t t1) {
   const std::int64_t h = q.cols() / num_heads;
   {
     // Same O(window x head_dim) scratch shape as the fp32 worker plus the
@@ -242,11 +251,12 @@ void fused_window_tasks_f16(ConstMatrixView q, ConstMatrixView k,
     float* const vb32 = vb32_lease.data();
 #endif
     for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t s = t / num_heads;
-      const std::int64_t base = (t % num_heads) * h;
+      const std::int64_t s = t / (num_heads * tiles);
+      const std::int64_t base = (t / tiles % num_heads) * h;
       const std::int64_t row0 = offsets[static_cast<std::size_t>(s)];
       const std::int64_t n = offsets[static_cast<std::size_t>(s + 1)] - row0;
-      for (std::int64_t i0 = 0; i0 < n; i0 += kQueryTile) {
+      const std::int64_t i0 = t % tiles * kQueryTile;
+      if (i0 < n) {
         const std::int64_t i1 = std::min(i0 + kQueryTile, n);
         const std::int64_t tk0 = std::max<std::int64_t>(0, i0 - window_before);
         const std::int64_t tk1 =

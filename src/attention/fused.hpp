@@ -33,10 +33,11 @@ MatrixF fused_window_attention(const HeadInput& in,
 /// Batched, allocation-free fused window attention — the serving engine's
 /// attention kernel. `q`/`k`/`v` are the packed Q/K/V projections (rows x
 /// d_model, sequence s occupying rows [offsets[s], offsets[s+1])); each
-/// (sequence, head) task streams the paper's QK -> exp -> SV pass (Eq. 1,
-/// exactly fused_window_attention's operation order, behind the row-max
-/// guard described below) directly over its contiguous head slice and writes the head output in
-/// place into `out`'s matching slice (the concat staging). Row i attends
+/// (sequence, head, query tile) task streams the paper's QK -> exp -> SV
+/// pass (Eq. 1, exactly fused_window_attention's operation order, behind
+/// the row-max guard described below) directly over its contiguous head
+/// slice and writes the head output in place into `out`'s matching slice
+/// (the concat staging). Row i attends
 /// columns [i - window_before, i + window_after] clipped to its own
 /// sequence; `scale` (the 1/sqrt(h) logit scaling) is folded into each
 /// query row as it is staged.
