@@ -27,7 +27,8 @@
 //   --smoke   small shapes / fewer reps (CI)
 //   default   acceptance shapes: 512^3 GEMM, sliding chunks n=4096 w=128
 //             h=64, packed GEMM on the Longformer-base projection/FFN
-//             shapes, fused attention at n=2048 w=256; each timed
+//             shapes, fused attention at n=2048 w=256 (12 heads) and
+//             at servebench longdoc's n=3072 w=256 (4 heads); each timed
 //             single-thread and with the pool enabled.
 #include <algorithm>
 #include <chrono>
@@ -430,12 +431,21 @@ int main(int argc, char** argv) {
   // replaced: slice the head's Q/K/V (folding in the logit scale), run the
   // banded stable-softmax attention into a staging matrix, scatter back
   // into the packed concat buffer. The fused kernel streams Eq. 1 in place.
-  {
-    const std::int64_t fa_n = smoke ? 512 : 2048;
-    const std::int64_t fa_heads = 12;
+  // Full size adds servebench longdoc's shape (one 3072-token document,
+  // the d256/h4 encoder's 4 heads x 64, band 256/255).
+  struct AttnShape {
+    const char* tag;
+    std::int64_t n, heads, before;
+  };
+  std::vector<AttnShape> attn_shapes = {
+      {"", smoke ? 512 : 2048, 12, smoke ? 64 : 256}};
+  if (!smoke) attn_shapes.push_back({"longdoc_", 3072, 4, 256});
+  for (const AttnShape& as : attn_shapes) {
+    const std::int64_t fa_n = as.n;
+    const std::int64_t fa_heads = as.heads;
     const std::int64_t fa_h = 64;
     const std::int64_t fa_d = fa_heads * fa_h;
-    const std::int64_t before = smoke ? 64 : 256;
+    const std::int64_t before = as.before;
     const std::int64_t after = before - 1;  // SWAT's 2w-core band
     const float scale = 1.0f / std::sqrt(static_cast<float>(fa_h));
     const swat::MatrixF q = swat::random_normal(fa_n, fa_d, rng, 0.3);
@@ -444,7 +454,8 @@ int main(int argc, char** argv) {
     const std::int64_t offsets[2] = {0, fa_n};
 
     BenchRow r;
-    const std::string shape = "n" + std::to_string(fa_n) + "_w" +
+    const std::string shape = std::string(as.tag) + "n" +
+                              std::to_string(fa_n) + "_w" +
                               std::to_string(before) + "_h" +
                               std::to_string(fa_h);
     r.name = "fused_attention_" + shape;

@@ -21,10 +21,10 @@ absolute numbers do not:
   * ISA dispatch (BENCH_kernels.json): when the serving kernels dispatch
     to x86-64-v3 or x86-64-v4 (top-level "isa") and that tier has its own
     code (it is above "build_isa", the tier the build flags reach, which
-    runs the baseline copy), its packed-GEMM arms must not be slower than
-    the baseline tier in the same run (speedup_1t >= 1). Every per-tier
-    arm must reproduce the baseline tier's output exactly
-    (max_abs_diff == 0).
+    runs the baseline copy), its packed-GEMM and fused-attention arms must
+    not be slower than the baseline tier in the same run
+    (speedup_1t >= 1). Every per-tier arm must reproduce the baseline
+    tier's output exactly (max_abs_diff == 0).
 
 Usage: bench_summary.py [BENCH_a.json ...]   (default: BENCH_*.json in cwd)
 Exits non-zero if any named file is missing or unparsable, or if a gate
@@ -119,6 +119,10 @@ def placement_rows(name, data):
             for placement, (speedup, replicas) in sorted(best.items())]
 
 
+# Per-tier arms whose dispatched tier must beat the baseline tier.
+GATED_ISA_KERNELS = ("gemm_packed_isa_", "fused_attention_isa_")
+
+
 def isa_gate_failures(name, data):
     """Gate failures of the ISA-dispatch arms in one kernels bench file."""
     failures = []
@@ -133,9 +137,9 @@ def isa_gate_failures(name, data):
             failures.append(f"{name}: {arm['name']} differs from the baseline "
                             f"tier (max_abs_diff {arm.get('max_abs_diff')})")
         if (own_copy and tier == dispatched
-                and arm["name"].startswith("gemm_packed_isa_")
+                and arm["name"].startswith(GATED_ISA_KERNELS)
                 and arm.get("speedup_1t", 0) < 1.0):
-            failures.append(f"{name}: dispatched tier {tier} packed GEMM "
+            failures.append(f"{name}: dispatched tier {tier} arm "
                             f"{arm['name']} is slower than the baseline tier "
                             f"(speedup_1t {fmt(arm.get('speedup_1t'))})")
     return failures

@@ -34,6 +34,11 @@ inline float f16_tail_to_f32(std::uint16_t bits) { return _cvtsh_ss(bits); }
 
 // Query rows per tile of the serving workers (see fused_window_tasks).
 constexpr std::int64_t kQueryTile = 64;
+// Register block of the fp32 worker (fused_tasks_f32.inc): query rows per
+// block, score columns per register tile, and Z columns per S'V chunk.
+constexpr int kRowBlock = 4;
+constexpr std::int64_t kScoreCols = 32;
+constexpr std::int64_t kZChunk = 64;
 
 /// Largest |row max| for which a band of up to `band` scores runs Eq. 1
 /// literally: exp(limit) * band stays below FLT_MAX, so neither an exp
@@ -137,9 +142,10 @@ void fused_window_batch_impl(KernelIsa isa, ConstMatrixView q,
 
   // (sequence, head, query tile) tasks fan out over the pool, `tiles` per
   // (sequence, head) whatever the sequence's length, so a singleton batch
-  // still spreads over every thread. Rows within a tile run serially in
-  // index order and each row reads only its own band, so every output
-  // element's reduction order is fixed regardless of the partition.
+  // still spreads over every thread. Rows within a tile run serially (in
+  // register blocks) and each row's output reads only its own band, so
+  // every output element's reduction order is fixed regardless of the
+  // partition.
   const std::int64_t tiles = (longest + kQueryTile - 1) / kQueryTile;
   parallel_for(0, nseq * num_heads * tiles, 1,
                [&](std::int64_t t0, std::int64_t t1) {
@@ -220,10 +226,10 @@ void fused_window_tasks_f16(ConstMatrixView q, ConstMatrixView k,
                             std::int64_t t0, std::int64_t t1) {
   const std::int64_t h = q.cols() / num_heads;
   {
-    // Same O(window x head_dim) scratch shape as the fp32 worker plus the
-    // two fp16 tiles (and, off-F16C, their fp32 twins); u16 storage leases
-    // ceil(n/2) floats from the same thread-local arena, so the path stays
-    // allocation-free after warmup.
+    // O(window x head_dim) scratch: one scaled query row, one row's score
+    // band and one Z row, plus the two fp16 tiles (and, off-F16C, their
+    // fp32 twins); u16 storage leases ceil(n/2) floats from the same
+    // thread-local arena, so the path stays allocation-free after warmup.
     const std::int64_t band = window_before + window_after + 1;
     const std::int64_t tile_cols = kQueryTile + band - 1;
     const float exp_limit = literal_exp_limit(band);

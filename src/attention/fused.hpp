@@ -42,13 +42,17 @@ MatrixF fused_window_attention(const HeadInput& in,
 /// sequence; `scale` (the 1/sqrt(h) logit scaling) is folded into each
 /// query row as it is staged.
 ///
-/// No (rows x window) score matrix is ever materialized: the per-thread
-/// scratch is one scaled query row plus one row's O(window) score tile
-/// (both from the thread's Workspace arena), so the path performs zero
-/// heap allocations after warmup. Per-head outputs are bit-identical to
-/// fused_window_attention on the sliced head (when window_before ==
-/// window_after and the guard leaves the row unshifted), for any thread
-/// count and batch composition.
+/// No (rows x window) score matrix is ever materialized. The fp32 worker
+/// runs each query tile in register blocks of 4 rows: the block's scores
+/// over the union of its bands are held in registers across the head dim,
+/// and its Z accumulators across the keys, so every K/V load feeds all 4
+/// rows. Its per-thread scratch — one block's scaled query rows, one
+/// block's score bands and the tile's transposed K slice, O(window x
+/// head_dim) — comes from the thread's Workspace arena, so the path
+/// performs zero heap allocations after warmup. Per-head outputs are
+/// bit-identical to fused_window_attention on the sliced head (when
+/// window_before == window_after and the guard leaves the row unshifted),
+/// for any thread count and batch composition.
 ///
 /// Numeric envelope: a row-max guard keeps every finite input finite.
 /// While the max of a row's scaled logits lies in [-L, L] — L = 80 for

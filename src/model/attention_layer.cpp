@@ -236,10 +236,10 @@ void MultiHeadAttention::forward_batch_into(
   } else {
     if (backend_ == AttentionBackend::kFusedStreaming) {
       // The serving kernel: no per-head staging, no score matrix. Every
-      // (sequence, head) task streams QK -> exp -> SV (Eq. 1) directly
-      // over its contiguous head slice of the packed projections and
-      // writes the head output in place into concat; the per-thread
-      // scratch is O(window x head_dim).
+      // (sequence, head, 64-row query tile) task streams QK -> exp -> SV
+      // (Eq. 1) directly over its contiguous head slice of the packed
+      // projections and writes the head output in place into concat; the
+      // per-thread scratch is O(window x head_dim).
       attn::fused_window_attention_batch_into(
           q, k, v, offsets, num_heads_, swat_cfg_.window_before(),
           swat_cfg_.window_after(), scale, concat, stream_dtype_);

@@ -215,7 +215,7 @@ Server::Ticket Server::submit(InferenceRequest request) {
   }
 
   Pending pending{std::move(request), std::move(promise),
-                  std::chrono::steady_clock::now(), deadline, 0};
+                  std::chrono::steady_clock::now(), deadline, 0, {}};
   // Ledger the admission BEFORE the push: the scheduler may serve the
   // request (bumping completed_) before we regain the lock, and drain()
   // must never observe completed_ > admitted_.
@@ -471,11 +471,12 @@ void Server::scheduler_loop() {
       }
       if (claimed) {
         Pending pending = std::move(claimed->first);
+        pending.claimed = std::chrono::steady_clock::now();
         // Claim-time deadline check: queueing may have consumed the slack
         // the submit-time check still saw. Shed before any compute.
         if (pending.deadline.value > 0.0) {
-          const Seconds waited{seconds_between(
-              pending.admitted, std::chrono::steady_clock::now())};
+          const Seconds waited{
+              seconds_between(pending.admitted, pending.claimed)};
           const Seconds slack = cost_model_->deadline_slack(
               pending.request.input.rows(), pending.deadline, waited);
           if (slack.value <= 0.0) {
@@ -507,11 +508,15 @@ void Server::scheduler_loop() {
         // sparse length class could pend forever for bucket-mates that
         // never come. inflight is ordered by claim index, so begin() is
         // the oldest request still waiting (pending or in a just-cut batch
-        // — a spurious flush of the latter is harmless).
+        // — a spurious flush of the latter is harmless). The wait counts
+        // from the claim, not from admission: under backlog every request
+        // has already queued past the bound before it is claimed, and
+        // timing from admission would flush after every push, so batches
+        // would never form when batching helps most.
         if (opt_.max_batch_wait.value > 0.0 &&
             former.pending_requests() > 0 && !inflight.empty()) {
           const double waited =
-              seconds_between(inflight.begin()->second.admitted,
+              seconds_between(inflight.begin()->second.claimed,
                               std::chrono::steady_clock::now());
           if (waited >= opt_.max_batch_wait.value) former.flush();
         }

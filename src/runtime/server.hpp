@@ -254,6 +254,9 @@ class Server {
     std::chrono::steady_clock::time_point admitted;
     Seconds deadline{};     ///< effective deadline (0 = none)
     std::uint64_t seq = 0;  ///< admission sequence (oldest-pending ledger)
+    /// When the scheduler claimed it into the BatchFormer: the
+    /// max_batch_wait age cut is timed from here, not from admission.
+    std::chrono::steady_clock::time_point claimed;
   };
 
   /// A cut batch bound to its member tickets — the unit the dispatcher

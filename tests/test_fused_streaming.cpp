@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "attention/fused.hpp"
@@ -135,13 +136,15 @@ TEST(FusedStreamingBatch, MatchesMaskedOracleAcrossRadiiAndRaggedBatches) {
   }
 }
 
-TEST(FusedStreamingBatch, AsymmetricBandMatchesMaskedOracle) {
-  // The SWAT band (before = w, after = w - 1) — the shape the serving
-  // config actually runs.
+/// The batched kernel on a SWAT band (before = w, after = w - 1) against
+/// the masked stable-softmax oracle, every sequence and head.
+void check_asymmetric_band(const std::vector<std::int64_t>& lengths,
+                           std::int64_t before, std::int64_t after) {
+  SCOPED_TRACE("before=" + std::to_string(before) +
+               " after=" + std::to_string(after));
   const std::int64_t num_heads = 2, h = 8, d_model = num_heads * h;
   const float scale = 1.0f / std::sqrt(static_cast<float>(h));
-  const PackedQkv p = make_packed({21, 5}, d_model, 13);
-  const std::int64_t before = 4, after = 3;
+  const PackedQkv p = make_packed(lengths, d_model, 13);
   MatrixF out(p.rows(), d_model);
   attn::fused_window_attention_batch_into(p.q, p.k, p.v, p.offsets,
                                           num_heads, before, after, scale,
@@ -164,6 +167,13 @@ TEST(FusedStreamingBatch, AsymmetricBandMatchesMaskedOracle) {
                                         "asymmetric band vs masked oracle");
     }
   }
+}
+
+TEST(FusedStreamingBatch, AsymmetricBandMatchesMaskedOracle) {
+  // The shape the serving config actually runs: a small band, and
+  // servebench longdoc's w = 256 split over many 64-row query tiles.
+  check_asymmetric_band({21, 5}, 4, 3);
+  check_asymmetric_band({700}, 256, 255);
 }
 
 // --------------------------------------------------- thread invariance ----

@@ -142,23 +142,34 @@ struct AttnCase {
   std::vector<std::int64_t> lengths;
   std::int64_t before, after;
   double q_scale;  // multiplies the 0.3 stddev of Q and K
+  std::int64_t h = 24;
 };
 
 // Clipped windows (reach beyond the sequence), asymmetric bands and
-// multi-sequence offsets; the last case drives the logits far past the
+// multi-sequence offsets; the fifth case drives the logits far past the
 // literal Eq. 1 range so every tier also runs the row-max guard's
-// shifted path.
+// shifted path. The rest cover the worker's register blocks (4 query
+// rows, 32 score columns, 64-wide Z chunks): the serving head dim 64 (full
+// Z chunks only) and 80 (a full chunk plus a tail), sequences shorter than
+// a row block, sequences whose last 64-row tile ends in a partial block,
+// bands narrower than a block (radius 0 and 1), and a band wider than a
+// whole 64-row tile.
 TEST(IsaDispatch, FusedAttentionBitIdenticalAcrossTiersAndToOracle) {
-  const std::int64_t num_heads = 3, h = 24, d_model = num_heads * h;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(h));
+  const std::int64_t num_heads = 3;
   const std::vector<AttnCase> cases = {
-      {{19, 1, 70}, 5, 5, 1.0},   {{13, 2, 29}, 40, 40, 1.0},
-      {{21, 66, 5}, 7, 3, 1.0},   {{3, 90}, 0, 17, 1.0},
-      {{31, 64}, 9, 9, 40.0},
+      {{19, 1, 70}, 5, 5, 1.0},       {{13, 2, 29}, 40, 40, 1.0},
+      {{21, 66, 5}, 7, 3, 1.0},       {{3, 90}, 0, 17, 1.0},
+      {{31, 64}, 9, 9, 40.0},         {{67, 130}, 9, 9, 1.0, 64},
+      {{130, 67}, 21, 20, 1.0, 64},   {{67, 3}, 12, 12, 1.0, 80},
+      {{1, 2, 3}, 5, 5, 1.0, 64},     {{1, 2, 3}, 5, 5, 1.0},
+      {{67, 130}, 0, 0, 1.0, 64},     {{67, 130}, 1, 1, 1.0, 64},
+      {{130, 67}, 1, 1, 1.0},         {{200, 67}, 70, 70, 1.0, 64},
   };
   const std::vector<KernelIsa> tiers = supported_tiers();
   Rng rng(99);
   for (const AttnCase& c : cases) {
+    const std::int64_t h = c.h, d_model = num_heads * h;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(h));
     std::vector<std::int64_t> offsets = {0};
     std::int64_t rows = 0;
     for (const std::int64_t len : c.lengths) offsets.push_back(rows += len);
@@ -172,7 +183,8 @@ TEST(IsaDispatch, FusedAttentionBitIdenticalAcrossTiersAndToOracle) {
           KernelIsa::kBaseline, q, k, v, offsets, num_heads, c.before,
           c.after, scale, base);
       for (const KernelIsa isa : tiers) {
-        const std::string at = tier_label(isa, threads) + " before=" +
+        const std::string at = tier_label(isa, threads) + " h=" +
+                               std::to_string(h) + " before=" +
                                std::to_string(c.before) + " after=" +
                                std::to_string(c.after);
         MatrixF got(rows, d_model, -5.0f);

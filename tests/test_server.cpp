@@ -14,12 +14,14 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <map>
 #include <random>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/concurrent_queue.hpp"
+#include "common/fault_injection.hpp"
 #include "common/thread_pool.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/server.hpp"
@@ -502,6 +504,53 @@ TEST(Server, AgeCutBoundsSparseClassWaitUnderSustainedLoad) {
   EXPECT_LT(got.counters.queue_delay.value, 1.5)
       << "sparse-class request waited as if the age cut were missing";
   for (Server::Ticket& t : fillers) (void)t.get();
+}
+
+/// The age cut times a request's wait in the BatchFormer from its claim,
+/// not from its admission. Requests that queued past max_batch_wait while
+/// the single replica was busy must still batch together once it frees:
+/// timed from admission, every claim would already be "too old" and flush
+/// the former after each push, serving the backlog one request at a time.
+TEST(Server, BacklogOlderThanBatchWaitStillFormsBatches) {
+  FaultInjector::global().reset();
+  const EncoderConfig cfg = small_config(AttentionBackend::kWindowExact);
+  ServerOptions opt;
+  opt.batching.max_batch_requests = 8;
+  opt.max_batch_wait = Seconds::milli(20);
+  Server server(cfg, opt);
+  const model::Encoder oracle(cfg);
+
+  // Hold the replica on the first request long enough for the backlog
+  // behind it to age well past max_batch_wait before it is claimed.
+  FaultInjector::global().arm(
+      "replica.execute",
+      {.kind = FaultKind::kDelay, .delay = Seconds::milli(300)});
+  std::vector<InferenceRequest> reqs =
+      make_requests(cfg, std::vector<std::int64_t>(7, 32));
+  Server::Ticket first = server.submit(reqs[0]);
+  while (FaultInjector::global().fires("replica.execute") == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::vector<Server::Ticket> backlog;
+  for (std::size_t i = 1; i < reqs.size(); ++i) {
+    backlog.push_back(server.submit(reqs[i]));
+  }
+
+  (void)first.get();
+  std::map<std::int64_t, int> batch_sizes;
+  for (std::size_t i = 0; i < backlog.size(); ++i) {
+    const RequestResult res = backlog[i].get();
+    testing::expect_matrix_equal(res.output,
+                                 oracle.forward(reqs[i + 1].input),
+                                 "backlog request vs Encoder::forward");
+    EXPECT_GT(res.counters.queue_delay.value, opt.max_batch_wait.value);
+    ++batch_sizes[res.counters.batch_index];
+  }
+  for (const auto& [batch, size] : batch_sizes) {
+    EXPECT_GT(size, 1) << "backlog request served alone in batch " << batch
+                       << " — the age cut flushed after every claim";
+  }
+  FaultInjector::global().reset();
 }
 
 TEST(ServerOptions, ValidateRejectsNegativeBatchWait) {
